@@ -32,7 +32,6 @@ from .protocol import (
 )
 from .radio import RadioParams, Reachability, compute_reachability, hop_distance_to_sinks
 from .sparsity import (
-    CsFormulation,
     Measurement,
     build_basis_l1,
     build_laplacian_l1,
@@ -42,7 +41,6 @@ from .sparsity import (
 
 __all__ = [
     "AggregateMessage",
-    "CsFormulation",
     "ExperimentConfig",
     "LinearSystem",
     "LpProblem",

@@ -61,8 +61,9 @@ class ExperimentConfig:
 
 
 def _parse_profile(text: str) -> SpeedProfile:
+    """`t:v;t:v` entries; `,` is accepted as a separator too."""
     pairs = []
-    for chunk in text.split(","):
+    for chunk in text.replace(",", ";").split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -77,7 +78,13 @@ def _parse_profile(text: str) -> SpeedProfile:
 
 
 def _format_profile(profile: SpeedProfile) -> str:
-    return ",".join(f"{t:g}:{v:g}" for t, v in profile)
+    return ";".join(f"{_format_float(t)}:{_format_float(v)}" for t, v in profile)
+
+
+def _format_float(x: float) -> str:
+    """`:g` when that parses back to x, else repr, which always does."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def _parse_bool(text: str) -> bool:
@@ -199,20 +206,20 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
         f"scenario={cfg.scenario}",
         f"seed={cfg.seed}",
         f"n={p.n}",
-        f"duration_s={p.duration:g}",
-        f"dt_s={p.dt:g}",
+        f"duration_s={_format_float(p.duration)}",
+        f"dt_s={_format_float(p.dt)}",
         f"base_speed_profile={_format_profile(p.base_speed_profile)}",
-        f"separation_gain={p.separation_gain:g}",
-        f"alignment_gain={p.alignment_gain:g}",
-        f"cohesion_gain={p.cohesion_gain:g}",
-        f"neighbor_radius_m={p.neighbor_radius:g}",
-        f"breakaway_rate={p.breakaway_rate:g}",
-        f"breakaway_boost_mps={p.breakaway_boost:g}",
-        f"breakaway_duration_s={p.breakaway_duration:g}",
-        f"speed_jitter_mps={p.speed_jitter:g}",
-        f"init_length_m={p.init_length:g}",
-        f"range_m={cfg.range_m:g}",
-        f"loss_p={cfg.loss_p:g}",
+        f"separation_gain={_format_float(p.separation_gain)}",
+        f"alignment_gain={_format_float(p.alignment_gain)}",
+        f"cohesion_gain={_format_float(p.cohesion_gain)}",
+        f"neighbor_radius_m={_format_float(p.neighbor_radius)}",
+        f"breakaway_rate={_format_float(p.breakaway_rate)}",
+        f"breakaway_boost_mps={_format_float(p.breakaway_boost)}",
+        f"breakaway_duration_s={_format_float(p.breakaway_duration)}",
+        f"speed_jitter_mps={_format_float(p.speed_jitter)}",
+        f"init_length_m={_format_float(p.init_length)}",
+        f"range_m={_format_float(cfg.range_m)}",
+        f"loss_p={_format_float(cfg.loss_p)}",
         f"k_measurements={cfg.k_measurements}",
         f"k_neighbors={cfg.k_neighbors}",
         f"cap_m={cfg.cap_m}",

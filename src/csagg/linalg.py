@@ -1,9 +1,11 @@
-"""Dense numerical kernel: standard-form LP, least squares, rank, DCT.
+"""Dense numerical kernel: bounded-variable LP, least squares, rank, DCT.
 
 Matrices are plain float64 numpy arrays (row-major). The LP solver accepts
-problems in pure standard form (minimize c.z subject to G z = h, z >= 0)
-and is backed by HiGHS via scipy; results are deterministic for a fixed
-problem.
+equality-constrained problems with per-variable lower bounds (minimize c.z
+subject to G z = h, z >= lower). Without explicit bounds every variable is
+nonnegative, which is pure standard form; a lower bound of -inf makes a
+variable free. It is backed by HiGHS via scipy; results are deterministic
+for a fixed problem.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . z  s.t.  eq_matrix @ z = eq_rhs, z >= 0."""
+    """min objective . z  s.t.  eq_matrix @ z = eq_rhs, z >= lower.
+
+    ``lower=None`` means z >= 0 (standard form); -inf entries are free.
+    """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
+    lower: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -46,6 +52,13 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", g)
         object.__setattr__(self, "eq_rhs", h)
+        if self.lower is not None:
+            lo = np.asarray(self.lower, dtype=float)
+            if lo.shape != c.shape:
+                raise DimensionError(f"lower is {lo.shape}, expected {c.shape}")
+            if np.any(np.isnan(lo) | (lo == np.inf)):
+                raise ValueError("lower bounds must be finite or -inf")
+            object.__setattr__(self, "lower", lo)
 
     @property
     def num_vars(self) -> int:
@@ -60,19 +73,21 @@ class LpSolution:
 
 
 def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
-    """Solve a standard-form LP.
+    """Solve an equality-constrained LP with lower-bounded variables.
 
     Returns an OPTIMAL solution satisfying ||G z - h||_inf <= feas_tol
-    (relative to max(1, ||h||_inf)) and min(z) >= -feas_tol, or the
-    INFEASIBLE/UNBOUNDED status. Numerical breakdown raises NumericalError.
+    (relative to max(1, ||h||_inf)) and z >= lower - feas_tol on every
+    finitely bounded entry, or the INFEASIBLE/UNBOUNDED status. Numerical
+    breakdown raises NumericalError.
     """
     if feas_tol <= 0:
         raise ValueError("feas_tol must be positive")
+    lower = np.zeros(problem.num_vars) if problem.lower is None else problem.lower
     res = linprog(
         problem.objective,
         A_eq=sparse.csr_matrix(problem.eq_matrix),
         b_eq=problem.eq_rhs,
-        bounds=(0, None),
+        bounds=np.column_stack([lower, np.full_like(lower, np.inf)]),
         method="highs",
         options={"primal_feasibility_tolerance": min(feas_tol, 1e-8)},
     )
@@ -85,9 +100,12 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
     z = np.asarray(res.x, dtype=float)
     scale = max(1.0, float(np.max(np.abs(problem.eq_rhs), initial=0.0)))
     resid = float(np.max(np.abs(problem.eq_matrix @ z - problem.eq_rhs), initial=0.0))
-    if resid > feas_tol * scale or float(z.min(initial=0.0)) < -feas_tol:
+    bounded = np.isfinite(lower)
+    slack = float(np.min(z[bounded] - lower[bounded], initial=0.0))
+    if resid > feas_tol * scale or slack < -feas_tol:
         raise NumericalError(
-            f"LP solution violates feasibility: residual {resid:.3e}"
+            f"LP solution violates feasibility: residual {resid:.3e}, "
+            f"bound violation {-slack:.3e}"
         )
     return LpSolution(LpStatus.OPTIMAL, z, float(res.fun))
 

@@ -1,4 +1,4 @@
-"""Compile L1 recovery formulations into standard-form LPs and decode back.
+"""Compile L1 recovery formulations into bounded-variable LPs and decode back.
 
 Three priors are supported for recovering a length-n signal X from k linear
 measurements Y = A X:
@@ -7,15 +7,16 @@ measurements Y = A X:
   * pairwise:  minimize sum_{ij in E} |x_i - x_j|   (neighbors move alike)
   * laplacian: minimize ||L X||_1 with L the graph Laplacian of E
 
-Every builder produces an LpProblem whose variable layout starts with
-[X+(n), X-(n), delta(...)] followed by slack variables, so decode_solution
-reads X = X+ - X- from the first 2n entries regardless of the prior.
+Each prior is a (p, n) operator T, and every builder compiles it into one
+bounded-variable LP over [X(n), u(p), v(p)]: X is free, u, v >= 0, and
+T X - u + v = 0 splits each residual into its positive and negative parts,
+so minimizing 1.(u + v) minimizes ||T X||_1. decode_solution reads X from
+the first n entries regardless of the prior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,30 +52,6 @@ class Measurement:
         return self.matrix.shape[0]
 
 
-class FormulationKind(Enum):
-    BASIS_L1 = "basis-l1"
-    PAIRWISE_L1 = "pairwise-l1"
-    LAPLACIAN_L1 = "laplacian-l1"
-
-
-@dataclass(frozen=True)
-class CsFormulation:
-    """Dispatch record: which prior to use and its parameters."""
-
-    kind: FormulationKind
-    basis: np.ndarray | None = None
-    edges: EdgeList | None = None
-
-    def build(self, meas: Measurement) -> LpProblem:
-        if self.kind is FormulationKind.BASIS_L1:
-            if self.basis is None:
-                raise DimensionError("basis formulation requires a basis matrix")
-            return build_basis_l1(meas, self.basis)
-        if self.kind is FormulationKind.PAIRWISE_L1:
-            return build_pairwise_l1(meas, self.edges or ())
-        return build_laplacian_l1(meas, self.edges or ())
-
-
 def _check_edges(edges: EdgeList, n: int) -> EdgeList:
     edges = tuple((int(i), int(j)) for i, j in edges)
     if not edges:
@@ -90,33 +67,27 @@ def _check_edges(edges: EdgeList, n: int) -> EdgeList:
 
 
 def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
-    """LP: min 1.delta  s.t.  Y = AX, -delta <= T X <= delta, delta >= 0.
+    """LP: min 1.(u + v)  s.t.  A X = Y, T X - u + v = 0, X free, u, v >= 0.
 
     T is the (p, n) operator whose componentwise absolute value is being
-    minimized. Variables: [X+(n), X-(n), delta(p), slack(2p)].
+    minimized. Variables: [X(n), u(p), v(p)].
     """
     a, y = meas.matrix, meas.values
     k, n = a.shape
     p = t.shape[0]
-    nv = 2 * n + p + 2 * p
-    g = np.zeros((k + 2 * p, nv))
+    g = np.zeros((k + p, n + 2 * p))
     g[:k, :n] = a
-    g[:k, n : 2 * n] = -a
-    # T X - delta + s1 = 0  and  -T X - delta + s2 = 0
-    g[k : k + p, :n] = t
-    g[k : k + p, n : 2 * n] = -t
-    g[k + p :, :n] = -t
-    g[k + p :, n : 2 * n] = t
+    g[k:, :n] = t
     rows = np.arange(p)
-    g[k + rows, 2 * n + rows] = -1.0
-    g[k + p + rows, 2 * n + rows] = -1.0
-    g[k + rows, 2 * n + p + rows] = 1.0
-    g[k + p + rows, 2 * n + 2 * p + rows] = 1.0
-    h = np.zeros(k + 2 * p)
+    g[k + rows, n + rows] = -1.0
+    g[k + rows, n + p + rows] = 1.0
+    h = np.zeros(k + p)
     h[:k] = y
-    c = np.zeros(nv)
-    c[2 * n : 2 * n + p] = 1.0
-    return LpProblem(objective=c, eq_matrix=g, eq_rhs=h)
+    c = np.zeros(n + 2 * p)
+    c[n:] = 1.0
+    lower = np.zeros(n + 2 * p)
+    lower[:n] = -np.inf
+    return LpProblem(objective=c, eq_matrix=g, eq_rhs=h, lower=lower)
 
 
 def build_basis_l1(meas: Measurement, basis: np.ndarray) -> LpProblem:
@@ -153,9 +124,9 @@ def build_laplacian_l1(meas: Measurement, edges: EdgeList) -> LpProblem:
 
 
 def decode_solution(sol: LpSolution, n: int) -> np.ndarray:
-    """Extract X = X+ - X- from an optimal builder solution."""
+    """Extract X, the leading n entries of an optimal builder solution."""
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot decode a {sol.status.value} solution")
-    if sol.values is None or sol.values.shape[0] < 2 * n:
-        raise DimensionError("solution vector shorter than 2n")
-    return sol.values[:n] - sol.values[n : 2 * n]
+    if sol.values is None or sol.values.shape[0] < n:
+        raise DimensionError("solution vector shorter than n")
+    return sol.values[:n]

@@ -42,3 +42,41 @@ def random_feasible_lp(rng: np.random.Generator):
 def bernoulli_matrix(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     """k x n matrix of +/-1 entries, equiprobable."""
     return rng.choice(np.array([-1.0, 1.0]), size=(k, n))
+
+
+def standard_form_abs_lp(a: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """(c, G, h) of min ||T X||_1 s.t. A X = Y in pure standard form.
+
+    Variables [X+(n), X-(n), delta(p), s1(p), s2(p)], all nonnegative:
+    A (X+ - X-) = Y, T X - delta + s1 = 0, -T X - delta + s2 = 0, cost 1.delta.
+    """
+    k, n = a.shape
+    p = t.shape[0]
+    eye = np.eye(p)
+    zero = np.zeros((p, p))
+    g = np.block([
+        [a, -a, np.zeros((k, 3 * p))],
+        [t, -t, -eye, eye, zero],
+        [-t, t, -eye, zero, eye],
+    ])
+    h = np.concatenate([y, np.zeros(2 * p)])
+    c = np.concatenate([np.zeros(2 * n), np.ones(p), np.zeros(2 * p)])
+    return c, g, h
+
+
+def random_bounded_lp(rng: np.random.Generator):
+    """A bounded feasible LP with mixed bounds: some variables free, others z >= lower.
+
+    The cost is dual feasible (c = G^T w + s, s >= 0 and zero on free
+    variables), so the optimum is finite.
+    """
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(m + 1, 8))
+    g = rng.standard_normal((m, n))
+    free = rng.random(n) < 0.4
+    lower = np.where(free, -np.inf, rng.uniform(-2.0, 2.0, n))
+    above = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 3.0, n))
+    x0 = np.where(free, rng.standard_normal(n), lower + above)
+    h = g @ x0
+    c = g.T @ rng.standard_normal(m) + np.where(free, 0.0, np.abs(rng.standard_normal(n)))
+    return c, g, h, lower

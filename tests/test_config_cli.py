@@ -1,10 +1,68 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csagg.cli import main
-from csagg.config import ExperimentConfig, apply_setting, config_lines, load_config
+from csagg.config import (
+    GRAPH_MODES,
+    SCENARIOS,
+    ExperimentConfig,
+    apply_setting,
+    config_lines,
+    load_config,
+)
 from csagg.errors import ConfigError
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds).map(repr)
+
+
+def _ints(lo, hi=10**6):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+_POSITIVE = _floats(min_value=0.0, exclude_min=True, max_value=1e6)
+_NONNEGATIVE = _floats(min_value=0.0, max_value=1e6)
+_PROFILE = st.lists(
+    st.tuples(_floats(min_value=-1e6, max_value=1e6), _floats(min_value=-1e3, max_value=1e3)),
+    min_size=1,
+    max_size=4,
+).map(lambda pairs: ";".join(f"{t}:{v}" for t, v in pairs))
+
+# every key that config_lines prints, each with values that pass validation
+_SETTINGS = {
+    "scenario": st.sampled_from(SCENARIOS),
+    "seed": _ints(0, 2**32 - 1),
+    "n": _ints(1),
+    "duration_s": _POSITIVE,
+    "dt_s": _POSITIVE,
+    "base_speed_profile": _PROFILE,
+    "separation_gain": _NONNEGATIVE,
+    "alignment_gain": _NONNEGATIVE,
+    "cohesion_gain": _NONNEGATIVE,
+    "neighbor_radius_m": _POSITIVE,
+    "breakaway_rate": _NONNEGATIVE,
+    "breakaway_boost_mps": _floats(min_value=-1e3, max_value=1e3),
+    "breakaway_duration_s": _NONNEGATIVE,
+    "speed_jitter_mps": _floats(min_value=-1e3, max_value=1e3),
+    "init_length_m": _POSITIVE,
+    "trace": st.text("abc/._-0123456789", min_size=1, max_size=12),
+    "range_m": _POSITIVE,
+    "loss_p": _floats(min_value=0.0, max_value=1.0),
+    "k_measurements": _ints(1),
+    "k_neighbors": _ints(1),
+    "cap_m": _ints(2),
+    "graph_mode": st.sampled_from(GRAPH_MODES),
+    "steps": _ints(0),
+    "check_aggregates": st.sampled_from(["true", "false"]),
+    "dct_n": _ints(1),
+    "dct_sparsity": _ints(1),
+    "dct_losses": _ints(0),
+    "dct_k": _ints(1),
+}
 
 
 class TestConfig:
@@ -40,6 +98,27 @@ class TestConfig:
         cfg = load_config(None, ["base_speed_profile=0:10,300:12"])
         assert cfg.peloton.speed_at(0.0) == 10.0
         assert cfg.peloton.speed_at(400.0) == 12.0
+
+    def test_speed_profile_documented_form(self):
+        cfg = load_config(None, ["base_speed_profile=0:10;100:12"])
+        assert cfg.peloton.speed_at(50.0) == 10.0
+        assert cfg.peloton.speed_at(150.0) == 12.0
+        assert "base_speed_profile=0:10;100:12" in config_lines(cfg)
+
+    def test_default_profile_header(self):
+        assert "base_speed_profile=0:10" in config_lines(ExperimentConfig())
+
+    def test_config_lines_keep_full_precision(self):
+        cfg = load_config(None, ["loss_p=0.123456789", "range_m=47.5"])
+        lines = config_lines(cfg)
+        assert "loss_p=0.123456789" in lines
+        assert "range_m=47.5" in lines
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_SETTINGS))
+    def test_config_lines_reproduce_any_config(self, settings_):
+        cfg = load_config(overrides=[f"{k}={v}" for k, v in settings_.items()])
+        assert load_config(overrides=config_lines(cfg)) == cfg
 
     def test_config_lines_round_trip(self, tmp_path):
         cfg = load_config(None, ["scenario=matrix", "n=17", "loss_p=0.75", "seed=3"])

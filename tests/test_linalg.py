@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csagg.errors import DimensionError, RankDeficientError
+from types import SimpleNamespace
+
+import csagg.linalg
+from csagg.errors import DimensionError, NumericalError, RankDeficientError
 from csagg.linalg import (
     LpProblem,
     LpStatus,
@@ -12,7 +15,7 @@ from csagg.linalg import (
     rank,
     solve_lp,
 )
-from helpers import brute_force_lp, random_feasible_lp
+from helpers import brute_force_lp, random_bounded_lp, random_feasible_lp
 
 
 class TestSolveLp:
@@ -63,6 +66,47 @@ class TestSolveLp:
             scale = max(1.0, np.abs(h).max())
             assert np.max(np.abs(g @ sol.values - h)) <= 1e-8 * scale
             assert sol.values.min() >= -1e-8
+
+    def test_free_variable_takes_negative_optimum(self):
+        # min x2 s.t. x1 + x2 = -3 with x1 free, x2 >= 0: x1 = -3, x2 = 0
+        sol = solve_lp(LpProblem([0.0, 1.0], [[1.0, 1.0]], [-3.0], lower=[-np.inf, 0.0]))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
+        assert sol.values == pytest.approx([-3.0, 0.0], abs=1e-9)
+
+    def test_lower_wrong_length(self):
+        with pytest.raises(DimensionError):
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], lower=[0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lower_must_be_finite_or_minus_inf(self, bad):
+        with pytest.raises(ValueError):
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], lower=[0.0, bad])
+
+    def test_bounded_optimal_satisfies_own_postconditions(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            c, g, h, lower = random_bounded_lp(rng)
+            sol = solve_lp(LpProblem(c, g, h, lower=lower), feas_tol=1e-8)
+            assert sol.status is LpStatus.OPTIMAL
+            scale = max(1.0, np.abs(h).max())
+            assert np.max(np.abs(g @ sol.values - h)) <= 1e-8 * scale
+            bounded = np.isfinite(lower)
+            assert np.all(sol.values[bounded] >= lower[bounded] - 1e-8)
+
+    @pytest.mark.parametrize(
+        "returned",
+        [[-1.0, 1e-6, 2.0 - 1e-6], [-1.0 - 1e-6, -1e-6, 2.0 + 1e-6]],
+        ids=["breaks-equality", "breaks-bound"],
+    )
+    def test_rejects_solver_output_off_the_feasible_set(self, monkeypatch, returned):
+        # x0 free, x1 >= 0, x2 >= 1: x0 + x2 = 1 and x1 + x2 = 2
+        problem = LpProblem([0.0, 1.0, 1.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 2.0],
+                            lower=[-np.inf, 0.0, 1.0])
+        fake = SimpleNamespace(status=0, x=np.array(returned), fun=2.0, message="")
+        monkeypatch.setattr(csagg.linalg, "linprog", lambda *a, **k: fake)
+        with pytest.raises(NumericalError, match="violates feasibility"):
+            solve_lp(problem)
 
 
 class TestLeastSquares:

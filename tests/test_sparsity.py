@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csagg.errors import DimensionError
-from csagg.graph import RiderPositions, connected_components, knn_graph
-from csagg.linalg import LpStatus, LpSolution, dct_matrix, solve_lp
+from csagg.graph import NeighborGraph, RiderPositions, connected_components, knn_graph, laplacian
+from csagg.linalg import DEFAULT_FEAS_TOL, LpProblem, LpStatus, LpSolution, dct_matrix, solve_lp
 from csagg.metrics import stress
 from csagg.sparsity import (
-    CsFormulation,
-    FormulationKind,
     Measurement,
     build_basis_l1,
     build_laplacian_l1,
     build_pairwise_l1,
     decode_solution,
+    pairwise_difference_operator,
 )
-from helpers import bernoulli_matrix
+from helpers import bernoulli_matrix, standard_form_abs_lp
 
 
 def recover(problem, n):
@@ -162,12 +163,14 @@ class TestLaplacianL1:
 
 
 class TestDecode:
-    def test_plus_minus_split(self):
-        sol = LpSolution(LpStatus.OPTIMAL, np.array([1.0, 0.0, 0.0, 2.0]), 0.0)
+    def test_leading_block_is_signal(self):
+        # [X(2), u(1), v(1)] for one edge: X is read as is, signs included
+        sol = LpSolution(LpStatus.OPTIMAL, np.array([1.0, -2.0, 3.0, 0.0]), 3.0)
         assert decode_solution(sol, 2) == pytest.approx([1.0, -2.0])
 
     def test_zero_solution(self):
-        sol = LpSolution(LpStatus.OPTIMAL, np.zeros(6), 0.0)
+        # n=3 and two edges: [X(3), u(2), v(2)]
+        sol = LpSolution(LpStatus.OPTIMAL, np.zeros(3 + 2 * 2), 0.0)
         assert decode_solution(sol, 3) == pytest.approx([0.0, 0.0, 0.0])
 
     def test_round_trip_through_builder(self):
@@ -202,10 +205,56 @@ class TestFormulationEquivalence:
         y = rng.standard_normal(5)
         meas = Measurement(np.eye(5), y)
         edges = ((0, 1), (1, 2), (2, 3), (3, 4))
-        for form in (
-            CsFormulation(FormulationKind.BASIS_L1, basis=dct_matrix(5)),
-            CsFormulation(FormulationKind.PAIRWISE_L1, edges=edges),
-            CsFormulation(FormulationKind.LAPLACIAN_L1, edges=edges),
+        for problem in (
+            build_basis_l1(meas, dct_matrix(5)),
+            build_pairwise_l1(meas, edges),
+            build_laplacian_l1(meas, edges),
         ):
-            x = recover(form.build(meas), 5)
+            x = recover(problem, 5)
             assert np.abs(x - y).max() <= 1e-8
+
+
+def _random_prior(rng: np.random.Generator, prior: str, n: int):
+    """(operator T, builder) for one prior on a random connected edge set."""
+    if prior == "basis":
+        basis = rng.standard_normal((n, n))
+        return basis, lambda meas: build_basis_l1(meas, basis)
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for i, j in rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2)).tolist():
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    edges = tuple(sorted(edges))
+    if prior == "pairwise":
+        return pairwise_difference_operator(edges, n), lambda meas: build_pairwise_l1(meas, edges)
+    t = laplacian(NeighborGraph(n=n, edges=edges))
+    return t, lambda meas: build_laplacian_l1(meas, edges)
+
+
+class TestSplitResidualEquivalence:
+    """The [X, u, v] builder against the [X+, X-, delta, s1, s2] standard form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prior=st.sampled_from(["basis", "pairwise", "laplacian"]),
+        n=st.integers(min_value=2, max_value=12),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_optimum_as_standard_form(self, prior, n, k_frac, seed):
+        rng = np.random.default_rng(seed)
+        k = 1 + int(k_frac * (n - 2))  # 1 <= k < n
+        t, build = _random_prior(rng, prior, n)
+        a = rng.standard_normal((k, n))
+        y = a @ (10.0 + rng.standard_normal(n))
+        sol = solve_lp(build(Measurement(a, y)))
+        assert sol.status is LpStatus.OPTIMAL
+
+        oracle = solve_lp(LpProblem(*standard_form_abs_lp(a, y, t)))
+        assert oracle.status is LpStatus.OPTIMAL
+        scale = max(1.0, abs(oracle.objective_value))
+        assert abs(sol.objective_value - oracle.objective_value) <= 1e-7 * scale
+
+        x = decode_solution(sol, n)
+        assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
+        assert abs(sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
