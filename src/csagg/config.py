@@ -55,6 +55,10 @@ class ExperimentConfig:
             raise ConfigError("cap_m must be >= 2")
         if min(self.dct_n, self.dct_sparsity, self.dct_k) < 1 or self.dct_losses < 0:
             raise ConfigError("dct-demo sizes must be positive (losses >= 0)")
+        if self.dct_sparsity > self.dct_n:
+            raise ConfigError(f"dct_sparsity={self.dct_sparsity} must not exceed dct_n={self.dct_n}")
+        if self.dct_losses >= self.dct_n:
+            raise ConfigError(f"dct_losses={self.dct_losses} must be smaller than dct_n={self.dct_n}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         self.peloton.validate()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .graph import NeighborGraph, RiderPositions, knn_graph
 from .linalg import LpStatus, dct_matrix, rank, solve_lp
 from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
-from .protocol import LinearSystem, collect_timestep, reconstruct
+from .protocol import CollectionResult, LinearSystem, collect_timestep, reconstruct
 from .radio import place_sinks
 from .sparsity import Measurement, build_basis_l1, decode_solution
 
@@ -64,66 +65,64 @@ def _step_count(cfg: ExperimentConfig, n_frames: int) -> int:
     return n_frames if cfg.steps == 0 else min(cfg.steps, n_frames)
 
 
-def run_matrix(cfg: ExperimentConfig, report_name: str = "report_matrix.csv") -> RunResult:
-    """Experiment 1: the sink directly receives Y = A X with a random +/-1 matrix."""
-    if cfg.scenario != "matrix":
-        raise ConfigError(f"run_matrix called with scenario={cfg.scenario!r}")
+def _report_path(cfg: ExperimentConfig) -> str:
+    """`<out>/report_<scenario>.csv`, creating the directory."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, f"report_{cfg.scenario.replace('-', '_')}.csv")
+
+
+def _check_scenario(cfg: ExperimentConfig, scenario: str) -> None:
+    if cfg.scenario != scenario:
+        raise ConfigError(f"{scenario} run called with scenario={cfg.scenario!r}")
     cfg.validate()
+
+
+def _collect_matrix(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarray) -> CollectionResult:
+    """The sink directly receives Y = A X with a random +/-1 matrix."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
+    a = rng.choice(np.array([-1, 1], dtype=np.int64), size=(cfg.k_measurements, x.shape[0]))
+    y = a @ x
+    system = LinearSystem(n=x.shape[0])
+    for r in range(cfg.k_measurements):
+        system.append(a[r], float(y[r]), (-1, r))
+    return CollectionResult(
+        system=system, rounds_used=0, uncoverable=(), message_count=0, mean_payload_bits=0.0
+    )
+
+
+def _collect_routing(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarray) -> CollectionResult:
+    """Multi-round broadcast/aggregate collection at the frame that ends step i."""
+    positions = trace.frames[i + 1]
+    return collect_timestep(
+        readings=x,
+        positions=positions,
+        sinks=place_sinks(positions),
+        radio=cfg.radio(),
+        cap_m=cfg.cap_m,
+        step_index=i,
+        check_aggregates=1e-9 if cfg.check_aggregates else None,
+    )
+
+
+def _run(
+    cfg: ExperimentConfig,
+    scenario: str,
+    collect: Callable[[ExperimentConfig, RaceTrace, int, np.ndarray], CollectionResult],
+) -> RunResult:
+    """The step loop both experiments share. collect(cfg, trace, i, x) gives
+    the sink's equations for step i, whose true velocities are x."""
+    _check_scenario(cfg, scenario)
     trace = load_race(cfg)
+    if cfg.k_neighbors >= trace.n:
+        raise ConfigError(
+            f"k_neighbors={cfg.k_neighbors} must be smaller than the number of riders ({trace.n})"
+        )
     vels = velocities(trace)
     tracker = _GraphTracker(cfg, trace)
-    k = cfg.k_measurements
     reports = []
     for i in range(_step_count(cfg, len(vels))):
         x = vels[i].x
-        n = x.shape[0]
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
-        a = rng.choice(np.array([-1, 1], dtype=np.int64), size=(k, n))
-        y = a @ x
-        system = LinearSystem(n=n)
-        for r in range(k):
-            system.append(a[r], float(y[r]), (-1, r))
-        graph = tracker.graph_for_step(i)
-        estimate, tag = reconstruct(system, graph)
-        tracker.advance(estimate)
-        reports.append(
-            StepReport(
-                time=vels[i].time,
-                stress=stress(x, estimate),
-                method=tag,
-                rows=len(system.rows),
-                rank=rank(system.matrix()),
-                rounds_used=0,
-                uncoverable=0,
-                mean_payload_bits=0.0,
-            )
-        )
-    return _finish(cfg, reports, report_name)
-
-
-def run_routing(cfg: ExperimentConfig, report_name: str = "report_routing.csv") -> RunResult:
-    """Experiment 2: multi-round broadcast/aggregate collection under packet loss."""
-    if cfg.scenario != "routing":
-        raise ConfigError(f"run_routing called with scenario={cfg.scenario!r}")
-    cfg.validate()
-    trace = load_race(cfg)
-    vels = velocities(trace)
-    tracker = _GraphTracker(cfg, trace)
-    radio = cfg.radio()
-    reports = []
-    for i in range(_step_count(cfg, len(vels))):
-        x = vels[i].x
-        positions = trace.frames[i + 1]
-        sinks = place_sinks(positions)
-        result = collect_timestep(
-            readings=x,
-            positions=positions,
-            sinks=sinks,
-            radio=radio,
-            cap_m=cfg.cap_m,
-            step_index=i,
-            check_aggregates=1e-9 if cfg.check_aggregates else None,
-        )
+        result = collect(cfg, trace, i, x)
         graph = tracker.graph_for_step(i)
         estimate, tag = reconstruct(result.system, graph)
         tracker.advance(estimate)
@@ -139,7 +138,20 @@ def run_routing(cfg: ExperimentConfig, report_name: str = "report_routing.csv") 
                 mean_payload_bits=result.mean_payload_bits,
             )
         )
-    return _finish(cfg, reports, report_name)
+    path = _report_path(cfg)
+    with open(path, "w", encoding="utf-8") as out:
+        write_report_csv(out, reports, config_lines(cfg))
+    return RunResult(reports=reports, summary=summarize(reports), report_path=path)
+
+
+def run_matrix(cfg: ExperimentConfig) -> RunResult:
+    """Experiment 1: the sink directly receives Y = A X with a random +/-1 matrix."""
+    return _run(cfg, "matrix", _collect_matrix)
+
+
+def run_routing(cfg: ExperimentConfig) -> RunResult:
+    """Experiment 2: multi-round broadcast/aggregate collection under packet loss."""
+    return _run(cfg, "routing", _collect_routing)
 
 
 @dataclass(frozen=True)
@@ -166,13 +178,9 @@ def _basis_recover(a: np.ndarray, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return decode_solution(sol, a.shape[1])
 
 
-def run_dct_demo(cfg: ExperimentConfig, report_name: str = "report_dct_demo.csv") -> DctDemoResult:
+def run_dct_demo(cfg: ExperimentConfig) -> DctDemoResult:
     """Lost-data demonstration: zero-filling vs column-removal basis-L1 recovery."""
-    if cfg.scenario != "dct-demo":
-        raise ConfigError(f"run_dct_demo called with scenario={cfg.scenario!r}")
-    cfg.validate()
-    if cfg.dct_losses >= cfg.dct_n:
-        raise ConfigError("dct_losses must be smaller than dct_n")
+    _check_scenario(cfg, "dct-demo")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xDC7)))
     n = cfg.dct_n
     x = dct_demo_signal(cfg, rng)
@@ -191,17 +199,10 @@ def run_dct_demo(cfg: ExperimentConfig, report_name: str = "report_dct_demo.csv"
     # transform, so minimize ||C||_1 with the restricted synthesis operator
     a_kept = a[:, kept]
     synth = dct_matrix(n).T[kept]  # (n - losses, n)
-    problem = build_basis_l1(
-        Measurement(matrix=a_kept @ synth, values=a_kept @ x[kept]), np.eye(n)
-    )
-    sol = solve_lp(problem)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ConfigError(f"basis recovery LP came back {sol.status.value}")
-    estimate_kept = synth @ decode_solution(sol, n)
+    estimate_kept = synth @ _basis_recover(a_kept @ synth, a_kept @ x[kept], np.eye(n))
     stress_col = stress(x[kept], estimate_kept)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, report_name)
+    path = _report_path(cfg)
     with open(path, "w", encoding="utf-8") as out:
         for line in config_lines(cfg):
             out.write(f"# {line}\n")
@@ -214,10 +215,3 @@ def run_dct_demo(cfg: ExperimentConfig, report_name: str = "report_dct_demo.csv"
         report_path=path,
     )
 
-
-def _finish(cfg: ExperimentConfig, reports: list[StepReport], report_name: str) -> RunResult:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, report_name)
-    with open(path, "w", encoding="utf-8") as out:
-        write_report_csv(out, reports, config_lines(cfg))
-    return RunResult(reports=reports, summary=summarize(reports), report_path=path)

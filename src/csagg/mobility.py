@@ -267,8 +267,9 @@ def write_velocity_csv(frames: Sequence[VelocityFrame], out: IO[str]) -> None:
             out.write(f"{frame.time:.3f},{rider},{float(v)!r}\n")
 
 
-def read_velocity_csv(source: str | IO[str]) -> list[VelocityFrame]:
-    """Read the `time_s,rider_id,v_mps` schema back into velocity frames."""
+def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:
+    """Read the `time_s,rider_id,v_mps` schema as {time: {rider_id: v}};
+    a repeated (time, rider) cell raises TraceFormatError."""
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
             return read_velocity_csv(fh)
@@ -286,10 +287,9 @@ def read_velocity_csv(source: str | IO[str]) -> list[VelocityFrame]:
             t, rider, v = float(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        data.setdefault(t, {})[rider] = v
-    frames = []
-    for t in sorted(data):
-        by_rider = data[t]
-        x = np.array([by_rider[r] for r in sorted(by_rider)])
-        frames.append(VelocityFrame(time=t, x=x))
-    return frames
+        by_rider = data.setdefault(t, {})
+        if rider in by_rider:
+            raise TraceFormatError(f"line {lineno}: duplicate cell (t={t}, rider={rider})")
+        by_rider[rider] = v
+    return data
+

@@ -34,6 +34,8 @@ from .sparsity import Measurement, build_pairwise_l1, decode_solution
 MIN_ROUNDS = 3
 DEFAULT_CAP = 32
 AGGREGATE_BITS = 64  # a real number on the wire
+SENDER_BITS = 16  # wire header fields
+ROUND_BITS = 8
 
 
 def payload_bits(n: int, cap_m: int) -> int:
@@ -301,61 +303,53 @@ def collect_timestep(
     )
 
 
+def _bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Each value as `width` bits, least significant first: shape (..., width)."""
+    return (np.asarray(values, dtype=np.int64)[..., None] >> np.arange(width)) & 1
+
+
+def _value(bits: np.ndarray) -> np.ndarray:
+    """Inverse of _bits over the last axis."""
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
+
+
 def encode_message(msg: AggregateMessage, cap_m: int) -> bytes:
     """Binary wire dump, little-endian: sender(16b), round(8b), n slots of
     (1 sign + ceil(log2(m)) magnitude) bits, aggregate (64b float)."""
     mag_bits = math.ceil(math.log2(cap_m))
-    bits: list[int] = []
-
-    def push(value: int, width: int) -> None:
-        for b in range(width):
-            bits.append((value >> b) & 1)
-
-    push(msg.sender, 16)
-    push(msg.round, 8)
-    for coeff in msg.coeff_row.tolist():
-        push(1 if coeff < 0 else 0, 1)
-        magnitude = abs(int(coeff))
-        if magnitude >= cap_m:
-            raise ConfigError(f"coefficient {coeff} does not fit in {mag_bits} bits")
-        push(magnitude, mag_bits)
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        byte = 0
-        for offset, bit in enumerate(bits[start : start + 8]):
-            byte |= bit << offset
-        out.append(byte)
-    out += struct.pack("<d", msg.aggregate)
-    return bytes(out)
+    row = np.asarray(msg.coeff_row, dtype=np.int64)
+    for name, value, width in (("sender", msg.sender, SENDER_BITS), ("round", msg.round, ROUND_BITS)):
+        if not 0 <= value < 1 << width:
+            raise ConfigError(f"{name} {value} does not fit in {width} bits")
+    magnitude = np.abs(row)
+    too_big = row[magnitude >= cap_m]
+    if too_big.size:
+        raise ConfigError(f"coefficient {too_big[0]} does not fit in {mag_bits} bits")
+    slots = np.column_stack([row < 0, _bits(magnitude, mag_bits)])
+    bits = np.concatenate(
+        [_bits(msg.sender, SENDER_BITS), _bits(msg.round, ROUND_BITS), slots.ravel()]
+    )
+    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes() + struct.pack(
+        "<d", msg.aggregate
+    )
 
 
 def decode_message(blob: bytes, n: int, cap_m: int) -> AggregateMessage:
     """Inverse of encode_message."""
     mag_bits = math.ceil(math.log2(cap_m))
-    head = blob[:-8]
-    bits = [(byte >> offset) & 1 for byte in head for offset in range(8)]
-
-    pos = 0
-
-    def pull(width: int) -> int:
-        nonlocal pos
-        value = 0
-        for b in range(width):
-            value |= bits[pos + b] << b
-        pos += width
-        return value
-
-    sender = pull(16)
-    rnd = pull(8)
-    row = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        sign = -1 if pull(1) else 1
-        row[i] = sign * pull(mag_bits)
-    aggregate = struct.unpack("<d", blob[-8:])[0]
+    head_bits = SENDER_BITS + ROUND_BITS + n * (1 + mag_bits)
+    expected = -(-head_bits // 8) + 8
+    if len(blob) != expected:
+        raise DimensionError(
+            f"message is {len(blob)} bytes; n={n}, cap_m={cap_m} needs {expected}"
+        )
+    bits = np.unpackbits(np.frombuffer(blob[:-8], dtype=np.uint8), count=head_bits, bitorder="little")
+    slots = bits[SENDER_BITS + ROUND_BITS :].reshape(n, 1 + mag_bits)
+    row = np.where(slots[:, 0] == 1, -1, 1) * _value(slots[:, 1:])
     return AggregateMessage(
-        sender=sender,
-        round=rnd,
+        sender=int(_value(bits[:SENDER_BITS])),
+        round=int(_value(bits[SENDER_BITS : SENDER_BITS + ROUND_BITS])),
         coeff_row=row,
-        aggregate=aggregate,
+        aggregate=struct.unpack("<d", blob[-8:])[0],
         payload_bits=payload_bits(n, cap_m),
     )

@@ -58,9 +58,11 @@ _SETTINGS = {
     "graph_mode": st.sampled_from(GRAPH_MODES),
     "steps": _ints(0),
     "check_aggregates": st.sampled_from(["true", "false"]),
-    "dct_n": _ints(1),
-    "dct_sparsity": _ints(1),
-    "dct_losses": _ints(0),
+    # validate needs dct_sparsity <= dct_n and dct_losses < dct_n, whichever
+    # of the three keys are drawn (the default dct_n is 100)
+    "dct_n": _ints(100),
+    "dct_sparsity": _ints(1, 100),
+    "dct_losses": _ints(0, 99),
     "dct_k": _ints(1),
 }
 
@@ -126,6 +128,14 @@ class TestConfig:
         path.write_text("\n".join(config_lines(cfg)) + "\n")
         back = load_config(str(path), [])
         assert back == cfg
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [(["dct_sparsity=200"], "dct_sparsity"), (["dct_n=8", "dct_sparsity=4", "dct_losses=8"], "dct_losses")],
+    )
+    def test_dct_sizes_bounded_by_dct_n(self, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, overrides)
 
     def test_scenario_validation(self):
         cfg = apply_setting(ExperimentConfig(), "scenario", "bogus")
@@ -205,3 +215,76 @@ class TestCli:
                 "--set", "steps=3", "--set", "k_measurements=6", "--set", "k_neighbors=4"]
         assert main(args) == 0
         assert (tmp_path / "report_matrix.csv").exists()
+
+    def test_k_neighbors_must_be_below_rider_count(self, tmp_path, capsys):
+        assert main(["matrix", "--out", str(tmp_path), "--set", "n=8", "--set", "k_neighbors=10",
+                     "--set", "duration_s=5", "--set", "steps=2"]) == 2
+        assert "k_neighbors=10" in capsys.readouterr().err
+        assert main(["simulate", "--out", str(tmp_path)] + FAST) == 0
+        args = ["routing", "--out", str(tmp_path), "--set", f"trace={tmp_path / 'trace.csv'}",
+                "--set", "steps=2", "--set", "k_neighbors=12"]
+        assert main(args) == 2
+        assert "k_neighbors=12" in capsys.readouterr().err
+
+    def test_dct_sparsity_above_dct_n_exits_2(self, tmp_path, capsys):
+        assert main(["dct-demo", "--out", str(tmp_path), "--set", "dct_sparsity=200"]) == 2
+        assert "dct_sparsity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "truth, estimate, names",
+        [
+            # riders matched by id, not by sort order
+            ("0.000,0,10.0\n0.000,1,10.0\n0.000,2,10.0\n",
+             "0.000,0,10.0\n0.000,1,10.0\n0.000,7,10.0\n", ["t=0.0", "[2]", "[7]"]),
+            # rider count mismatch
+            ("0.000,0,10.0\n0.000,1,10.0\n0.000,2,10.0\n",
+             "0.000,0,10.0\n0.000,1,10.0\n", ["t=0.0", "[2]"]),
+            # duplicated (time, rider) cell
+            ("0.000,0,10.0\n0.000,1,10.0\n0.000,1,9.0\n",
+             "0.000,0,10.0\n0.000,1,10.0\n", ["t=0.0", "rider=1"]),
+            # a timestamp in one file only
+            ("0.000,0,10.0\n1.000,0,10.0\n", "0.000,0,10.0\n", ["t=1.0", "[0]"]),
+        ],
+    )
+    def test_stress_mismatch_rejected(self, tmp_path, capsys, truth, estimate, names):
+        csv_a = tmp_path / "a.csv"
+        csv_b = tmp_path / "b.csv"
+        csv_a.write_text("time_s,rider_id,v_mps\n" + truth)
+        csv_b.write_text("time_s,rider_id,v_mps\n" + estimate)
+        assert main(["stress", str(csv_a), str(csv_b)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize(
+        "scenario, key, values",
+        [("matrix", "k_measurements", ["5", "7"]),
+         ("routing", "loss_p", ["0", "0.3"]),
+         ("dct-demo", "seed", ["0", "4"])],
+    )
+    def test_sweep_point_matches_single_run(self, tmp_path, capsys, scenario, key, values):
+        args = ["--set", f"scenario={scenario}"] + FAST
+        sweep = ["sweep", f"{key}={','.join(values)}", "--out", str(tmp_path / "sweep")]
+        assert main(sweep + args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(values)
+        report = f"report_{scenario.replace('-', '_')}.csv"
+        for value, line in zip(values, lines):
+            point = tmp_path / "sweep" / f"{key}={value}" / report
+            assert line.startswith(f"wrote {point}: ")
+            single = tmp_path / f"single_{value}"
+            assert main([scenario, "--out", str(single)] + args + ["--set", f"{key}={value}"]) == 0
+            assert point.read_bytes() == (single / report).read_bytes()
+
+    def test_sweep_rejects_simulate(self, tmp_path):
+        args = ["sweep", "seed=1,2", "--set", "scenario=simulate", "--out", str(tmp_path / "s")]
+        assert main(args + FAST) == 2
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "points, message", [("k_measurements=5,0", "k_measurements"), ("k_measurements=5,5", "repeats")]
+    )
+    def test_sweep_checks_every_point_first(self, tmp_path, capsys, points, message):
+        args = ["sweep", points, "--set", "scenario=matrix", "--out", str(tmp_path / "s")]
+        assert main(args + FAST) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()

@@ -191,5 +191,5 @@ class TestVelocityCsv:
         buf.seek(0)
         back = read_velocity_csv(buf)
         assert len(back) == len(vels)
-        for fa, fb in zip(vels, back):
-            assert np.array_equal(fa.x, fb.x)
+        for fa, t in zip(vels, sorted(back)):
+            assert np.array_equal(fa.x, [back[t][r] for r in range(len(fa.x))])
