@@ -30,7 +30,7 @@ from .protocol import (
     sink_collect,
     step_sensor,
 )
-from .radio import RadioParams, Reachability, compute_reachability, hop_distance_to_sinks
+from .radio import RadioParams, Reachability, compute_reachability, hop_distance_to_sinks, in_range_links
 from .sparsity import (
     Measurement,
     build_basis_l1,
@@ -64,6 +64,7 @@ __all__ = [
     "dct_matrix",
     "decode_solution",
     "hop_distance_to_sinks",
+    "in_range_links",
     "ingest_trace",
     "knn_graph",
     "laplacian",

@@ -62,6 +62,15 @@ class ExperimentConfig:
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         self.peloton.validate()
+        # an ingested trace's rider count is checked once it is loaded
+        simulated = self.scenario in ("matrix", "routing") and not self.trace_path
+        if (simulated or self.scenario == "simulate") and self.seed != self.peloton.seed:
+            raise ConfigError(
+                f"seed={self.seed} differs from peloton.seed={self.peloton.seed}; "
+                "the report header's one seed= line would simulate another race"
+            )
+        if simulated and self.k_neighbors >= self.peloton.n:
+            raise ConfigError(f"k_neighbors={self.k_neighbors} must be smaller than n={self.peloton.n}")
 
 
 def _parse_profile(text: str) -> SpeedProfile:

@@ -31,7 +31,7 @@ class Summary:
 
 
 def stress(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Normalized squared error: sum((x - xhat)^2) / sum(x^2). Smaller is better."""
+    """Normalized squared error: sum((x - xhat)^2) / sum(x^2), 0 when both are 0. Smaller is better."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape:
@@ -40,7 +40,9 @@ def stress(truth: np.ndarray, estimate: np.ndarray) -> float:
         )
     denom = float(np.sum(truth**2))
     if denom == 0.0:
-        raise DimensionError("stress undefined for a zero-norm truth vector")
+        if np.array_equal(truth, estimate):
+            return 0.0
+        raise DimensionError("stress undefined for a zero-norm truth vector and a nonzero estimate")
     return float(np.sum((truth - estimate) ** 2)) / denom
 
 

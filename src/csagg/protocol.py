@@ -28,6 +28,7 @@ from .radio import (
     RiderPositions,
     compute_reachability,
     hop_distance_to_sinks,
+    in_range_links,
 )
 from .sparsity import Measurement, build_pairwise_l1, decode_solution
 
@@ -240,10 +241,8 @@ def collect_timestep(
     n = positions.n
     if readings.shape != (n,):
         raise DimensionError(f"readings shape {readings.shape}, expected ({n},)")
-    sinks = np.atleast_2d(np.asarray(sinks, dtype=float))
-    num_sinks = sinks.shape[0]
-
-    hops = hop_distance_to_sinks(positions, sinks, radio.range_m)
+    links = in_range_links(positions, sinks, radio.range_m)
+    hops = hop_distance_to_sinks(links, n)
     rounds_total, uncoverable = plan_rounds(hops)
 
     states = []
@@ -271,17 +270,16 @@ def collect_timestep(
             _verify(msg)
             message_count += 1
             bits_total += msg.payload_bits
-        reach = compute_reachability(positions, sinks, radio, rnd)
-        # sinks hear every round
-        for sender, receiver in sorted(reach.delivered):
+        reach = compute_reachability(links, positions.time, radio, rnd)
+        # sinks hear every round; riders' inboxes feed the next one
+        inboxes: list[list[AggregateMessage]] = [[] for _ in range(n)]
+        for sender, receiver in reach.delivered.tolist():
             if receiver >= n:
                 sink_collect(system, [broadcasts[sender]])
+            else:
+                inboxes[receiver].append(broadcasts[sender])
         if rnd == rounds_total:
             break
-        inboxes: list[list[AggregateMessage]] = [[] for _ in range(n)]
-        for sender, receiver in sorted(reach.delivered):
-            if receiver < n:
-                inboxes[receiver].append(broadcasts[sender])
         next_states = []
         next_broadcasts = []
         for i in range(n):

@@ -1,4 +1,7 @@
-"""Per-round radio connectivity and independent per-link packet loss.
+"""Radio connectivity, fixed per timestep, and independent per-link packet loss per round.
+
+in_range_links lists the timestep's directed (sender, receiver) pairs at
+distance <= range_m once; hop counts and every round's deliveries read it.
 
 Delivery randomness is counter-based: each directed link draws one uniform
 from a splitmix64 hash of (seed, timestep, round, sender, receiver) and the
@@ -14,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError
 from .graph import RiderPositions
-
-UNREACHABLE = np.inf
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class RadioParams:
 @dataclass(frozen=True)
 class Reachability:
     round: int
-    delivered: frozenset[tuple[int, int]]  # ordered (sender, receiver) pairs
+    delivered: np.ndarray  # (m, 2) (sender, receiver) pairs, lexicographically sorted
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -73,60 +76,36 @@ def place_sinks(positions: RiderPositions) -> np.ndarray:
     return np.array([[back, 0.0], [front, 0.0]])
 
 
-def _all_points(positions: RiderPositions, sinks: np.ndarray) -> np.ndarray:
-    sinks = np.atleast_2d(np.asarray(sinks, dtype=float))
-    return np.vstack([positions.pos, sinks])
+def in_range_links(positions: RiderPositions, sinks: np.ndarray, range_m: float) -> np.ndarray:
+    """Loss-free (sender, receiver) links of one timestep, shape (m, 2), sorted.
 
-
-def compute_reachability(
-    positions: RiderPositions,
-    sinks: np.ndarray,
-    params: RadioParams,
-    round_index: int,
-) -> Reachability:
-    """Delivered (sender, receiver) pairs for one broadcast round."""
-    pts = _all_points(positions, sinks)
-    n = positions.n
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    in_range = dist <= params.range_m
-    np.fill_diagonal(in_range, False)
-    in_range[n:, :] = False  # sinks do not transmit
-    senders, receivers = np.nonzero(in_range)
-    if params.loss_p > 0.0:
-        u = link_uniforms(params.seed, positions.time, round_index, senders, receivers)
-        keep = u >= params.loss_p
-        senders, receivers = senders[keep], receivers[keep]
-    pairs = frozenset(zip(senders.tolist(), receivers.tolist()))
-    return Reachability(round=round_index, delivered=pairs)
-
-
-def hop_distance_to_sinks(
-    positions: RiderPositions, sinks: np.ndarray, range_m: float
-) -> np.ndarray:
-    """BFS hop count from each rider to the nearest sink on the loss-free graph.
-
-    Unreachable riders get UNREACHABLE (inf).
+    A rider sends to every other rider and every sink at distance <= range_m;
+    sinks only receive. Rows are in lexicographic (sender, receiver) order.
     """
     if range_m <= 0:
         raise ConfigError("range_m must be positive")
-    pts = _all_points(positions, sinks)
-    n = positions.n
-    total = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    adj = (diff**2).sum(axis=2) <= range_m**2
-    np.fill_diagonal(adj, False)
-    hops = np.full(total, UNREACHABLE)
-    frontier = list(range(n, total))
-    hops[frontier] = 0.0
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for v in frontier:
-            for w in np.nonzero(adj[v])[0]:
-                if hops[w] == UNREACHABLE:
-                    hops[w] = level
-                    nxt.append(int(w))
-        frontier = nxt
-    return hops[:n]
+    pts = np.vstack([positions.pos, np.atleast_2d(np.asarray(sinks, dtype=float))])
+    diff = positions.pos[:, None, :] - pts[None, :, :]
+    in_range = np.sqrt((diff**2).sum(axis=2)) <= range_m
+    np.fill_diagonal(in_range, False)
+    return np.argwhere(in_range)
+
+
+def compute_reachability(
+    links: np.ndarray, time: float, params: RadioParams, round_index: int
+) -> Reachability:
+    """The links of in_range_links that deliver in one broadcast round."""
+    if params.loss_p > 0.0:
+        u = link_uniforms(params.seed, time, round_index, links[:, 0], links[:, 1])
+        links = links[u >= params.loss_p]
+    return Reachability(round=round_index, delivered=links)
+
+
+def hop_distance_to_sinks(links: np.ndarray, n: int) -> np.ndarray:
+    """BFS hop count from each of the n riders to the nearest sink over the
+    links of in_range_links. Unreachable riders get inf.
+    """
+    # every sink becomes node n; search from it along the links reversed
+    receivers = np.minimum(links[:, 1], n)
+    reverse = csr_matrix((np.ones(len(links)), (receivers, links[:, 0])), shape=(n + 1, n + 1))
+    return dijkstra(reverse, unweighted=True, indices=n)[:n]

@@ -8,6 +8,9 @@ import struct
 
 import numpy as np
 
+from csagg.graph import RiderPositions
+from csagg.radio import RadioParams, link_uniforms
+
 
 def brute_force_lp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> float | None:
     """Minimum objective over basic feasible solutions by exhaustive enumeration.
@@ -105,3 +108,49 @@ def wire_bytes_reference(sender: int, rnd: int, row, aggregate: float, cap_m: in
         for start in range(0, len(bits), 8)
     )
     return head + struct.pack("<d", aggregate)
+
+
+def _in_range_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarray:
+    """Symmetric (n+s, n+s) in-range matrix over riders then sinks, no self-links."""
+    pts = np.vstack([positions.pos, np.atleast_2d(np.asarray(sinks, dtype=float))])
+    diff = pts[:, None, :] - pts[None, :, :]
+    in_range = np.sqrt((diff**2).sum(axis=2)) <= range_m
+    np.fill_diagonal(in_range, False)
+    return in_range
+
+
+def reachability_reference(
+    positions: RiderPositions, sinks, params: RadioParams, round_index: int
+) -> frozenset[tuple[int, int]]:
+    """Delivered (sender, receiver) pairs of one round from a full distance
+    matrix: a rider sends to every rider and sink within range_m, sinks never
+    send, and each link survives iff its link_uniforms draw is >= loss_p."""
+    in_range = _in_range_reference(positions, sinks, params.range_m)
+    in_range[positions.n :, :] = False
+    senders, receivers = np.nonzero(in_range)
+    if params.loss_p > 0.0:
+        u = link_uniforms(params.seed, positions.time, round_index, senders, receivers)
+        keep = u >= params.loss_p
+        senders, receivers = senders[keep], receivers[keep]
+    return frozenset(zip(senders.tolist(), receivers.tolist()))
+
+
+def hops_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarray:
+    """Hop count from each rider to the nearest sink, by a level-by-level BFS
+    out of the sinks over the full in-range matrix; inf when out of reach."""
+    in_range = _in_range_reference(positions, sinks, range_m)
+    n, total = positions.n, in_range.shape[0]
+    hops = np.full(total, np.inf)
+    frontier = list(range(n, total))
+    hops[frontier] = 0.0
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for w in np.nonzero(in_range[v])[0]:
+                if hops[w] == np.inf:
+                    hops[w] = level
+                    nxt.append(int(w))
+        frontier = nxt
+    return hops[:n]

@@ -36,7 +36,8 @@ _PROFILE = st.lists(
 _SETTINGS = {
     "scenario": st.sampled_from(SCENARIOS),
     "seed": _ints(0, 2**32 - 1),
-    "n": _ints(1),
+    # matrix and routing need k_neighbors < n for a simulated race
+    "n": _ints(11),
     "duration_s": _POSITIVE,
     "dt_s": _POSITIVE,
     "base_speed_profile": _PROFILE,
@@ -53,7 +54,7 @@ _SETTINGS = {
     "range_m": _POSITIVE,
     "loss_p": _floats(min_value=0.0, max_value=1.0),
     "k_measurements": _ints(1),
-    "k_neighbors": _ints(1),
+    "k_neighbors": _ints(1, 10),
     "cap_m": _ints(2),
     "graph_mode": st.sampled_from(GRAPH_MODES),
     "steps": _ints(0),
@@ -136,6 +137,16 @@ class TestConfig:
     def test_dct_sizes_bounded_by_dct_n(self, overrides, key):
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides)
+
+    @pytest.mark.parametrize("scenario", ["matrix", "routing", "simulate"])
+    def test_seed_must_match_simulated_race(self, scenario):
+        cfg = ExperimentConfig(scenario=scenario, seed=5)
+        with pytest.raises(ConfigError, match="seed=5.*peloton.seed=0"):
+            cfg.validate()
+
+    def test_seed_free_without_simulated_race(self):
+        ExperimentConfig(scenario="dct-demo", seed=5).validate()
+        ExperimentConfig(scenario="matrix", seed=5, trace_path="trace.csv").validate()
 
     def test_scenario_validation(self):
         cfg = apply_setting(ExperimentConfig(), "scenario", "bogus")
@@ -226,6 +237,13 @@ class TestCli:
         assert main(args) == 2
         assert "k_neighbors=12" in capsys.readouterr().err
 
+    def test_stress_of_stopped_peloton(self, tmp_path, capsys):
+        rows = "time_s,rider_id,v_mps\n0.000,0,0.0\n0.000,1,0.0\n"
+        (tmp_path / "a.csv").write_text(rows)
+        (tmp_path / "b.csv").write_text(rows)
+        assert main(["stress", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        assert "0.000,0\n" in capsys.readouterr().out
+
     def test_dct_sparsity_above_dct_n_exits_2(self, tmp_path, capsys):
         assert main(["dct-demo", "--out", str(tmp_path), "--set", "dct_sparsity=200"]) == 2
         assert "dct_sparsity" in capsys.readouterr().err
@@ -281,7 +299,9 @@ class TestCli:
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
-        "points, message", [("k_measurements=5,0", "k_measurements"), ("k_measurements=5,5", "repeats")]
+        "points, message",
+        [("k_measurements=5,0", "k_measurements"), ("k_measurements=5,5", "repeats"),
+         ("k_neighbors=4,20", "k_neighbors=20")],
     )
     def test_sweep_checks_every_point_first(self, tmp_path, capsys, points, message):
         args = ["sweep", points, "--set", "scenario=matrix", "--out", str(tmp_path / "s")]

@@ -29,6 +29,11 @@ class TestStress:
     def test_zero_truth_rejected(self):
         with pytest.raises(DimensionError):
             stress(np.zeros(3), np.ones(3))
+        with pytest.raises(DimensionError):
+            stress(np.zeros(3), np.array([0.0, 1e-300, 0.0]))
+
+    def test_stopped_peloton_recovered_exactly(self):
+        assert stress(np.zeros(3), np.zeros(3)) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csagg.errors import ConfigError
 from csagg.graph import RiderPositions
@@ -7,9 +9,11 @@ from csagg.radio import (
     RadioParams,
     compute_reachability,
     hop_distance_to_sinks,
+    in_range_links,
     link_uniforms,
     place_sinks,
 )
+from helpers import hops_reference, reachability_reference
 
 NO_SINKS = np.zeros((0, 2))
 
@@ -18,26 +22,35 @@ def riders(*s_coords):
     return RiderPositions(0.0, [[s, 0.0] for s in s_coords])
 
 
+def delivered(pos, sinks, params, round_index=1):
+    links = in_range_links(pos, sinks, params.range_m)
+    pairs = compute_reachability(links, pos.time, params, round_index).delivered
+    return {(s, r) for s, r in pairs.tolist()}
+
+
+def hops(pos, sinks, range_m):
+    return hop_distance_to_sinks(in_range_links(pos, sinks, range_m), pos.n)
+
+
 class TestComputeReachability:
     def test_lossless_in_range_pair(self):
-        r = compute_reachability(riders(0.0, 10.0), NO_SINKS, RadioParams(range_m=50), 1)
-        assert r.delivered == {(0, 1), (1, 0)}
+        assert delivered(riders(0.0, 10.0), NO_SINKS, RadioParams(range_m=50)) == {(0, 1), (1, 0)}
+
+    def test_range_is_inclusive(self):
+        assert delivered(riders(0.0, 50.0), NO_SINKS, RadioParams(range_m=50)) == {(0, 1), (1, 0)}
 
     def test_total_loss(self):
         params = RadioParams(range_m=50, loss_p=1.0)
-        r = compute_reachability(riders(0.0, 10.0), NO_SINKS, params, 1)
-        assert r.delivered == frozenset()
+        assert delivered(riders(0.0, 10.0), NO_SINKS, params) == set()
 
     def test_out_of_range(self):
-        r = compute_reachability(riders(0.0, 100.0), NO_SINKS, RadioParams(range_m=50), 1)
-        assert r.delivered == frozenset()
+        assert delivered(riders(0.0, 100.0), NO_SINKS, RadioParams(range_m=50)) == set()
 
     def test_loss_fraction_concentrates(self):
         # 33 riders in close range: 1056 ordered pairs, p = 0.5
         pos = riders(*np.linspace(0.0, 3.2, 33))
         params = RadioParams(range_m=50, loss_p=0.5, seed=123)
-        r = compute_reachability(pos, NO_SINKS, params, 1)
-        fraction = len(r.delivered) / (33 * 32)
+        fraction = len(delivered(pos, NO_SINKS, params)) / (33 * 32)
         assert 0.45 <= fraction <= 0.55
 
     def test_loss_monotone_in_p(self):
@@ -45,21 +58,20 @@ class TestComputeReachability:
         sets = []
         for p in (0.2, 0.5, 0.8):
             params = RadioParams(range_m=50, loss_p=p, seed=7)
-            sets.append(compute_reachability(pos, NO_SINKS, params, 3).delivered)
+            sets.append(delivered(pos, NO_SINKS, params, 3))
         assert sets[0] >= sets[1] >= sets[2]
 
     def test_deterministic_replay(self):
         pos = riders(*np.linspace(0.0, 40.0, 20))
         params = RadioParams(range_m=50, loss_p=0.4, seed=11)
-        assert (
-            compute_reachability(pos, NO_SINKS, params, 2).delivered
-            == compute_reachability(pos, NO_SINKS, params, 2).delivered
-        )
+        links = in_range_links(pos, NO_SINKS, params.range_m)
+        first = compute_reachability(links, pos.time, params, 2).delivered
+        second = compute_reachability(links, pos.time, params, 2).delivered
+        assert np.array_equal(first, second)
 
     def test_sinks_receive_but_never_send(self):
         sinks = np.array([[5.0, 0.0]])
-        r = compute_reachability(riders(0.0), sinks, RadioParams(range_m=50), 1)
-        assert r.delivered == {(0, 1)}  # sink is node 1, receiver only
+        assert delivered(riders(0.0), sinks, RadioParams(range_m=50)) == {(0, 1)}  # sink is node 1
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
@@ -84,21 +96,57 @@ class TestLinkUniforms:
 
 class TestHopDistance:
     def test_one_hop_to_sink(self):
-        hops = hop_distance_to_sinks(riders(0.0), np.array([[20.0, 0.0]]), 50.0)
-        assert hops == pytest.approx([1.0])
+        assert hops(riders(0.0), np.array([[20.0, 0.0]]), 50.0) == pytest.approx([1.0])
 
     def test_chain(self):
-        hops = hop_distance_to_sinks(riders(0.0, 40.0), np.array([[80.0, 0.0]]), 50.0)
-        assert hops == pytest.approx([2.0, 1.0])
+        assert hops(riders(0.0, 40.0), np.array([[80.0, 0.0]]), 50.0) == pytest.approx([2.0, 1.0])
 
     def test_isolated_rider(self):
-        hops = hop_distance_to_sinks(riders(0.0, 1000.0), np.array([[1010.0, 0.0]]), 50.0)
-        assert hops[1] == 1.0
-        assert np.isinf(hops[0])
+        found = hops(riders(0.0, 1000.0), np.array([[1010.0, 0.0]]), 50.0)
+        assert found[1] == 1.0
+        assert np.isinf(found[0])
 
     def test_bad_range(self):
         with pytest.raises(ConfigError):
-            hop_distance_to_sinks(riders(0.0), NO_SINKS, 0.0)
+            in_range_links(riders(0.0), NO_SINKS, 0.0)
+
+
+_ALONG = st.floats(0.0, 400.0)
+_LATERAL = st.floats(-4.0, 4.0)
+
+
+class TestLinksMatchReference:
+    """in_range_links, compute_reachability and hop_distance_to_sinks against
+    the full distance-matrix reachability and the loop BFS in helpers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_links_rounds_and_hops(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        pos = RiderPositions(
+            data.draw(st.floats(0.0, 1e4), label="time"),
+            data.draw(st.lists(st.tuples(_ALONG, _LATERAL), min_size=n, max_size=n), label="riders"),
+        )
+        sinks = np.array(
+            data.draw(st.lists(st.tuples(_ALONG, _LATERAL), max_size=2), label="sinks"), dtype=float
+        ).reshape(-1, 2)
+        range_m = data.draw(st.floats(1.0, 150.0), label="range_m")
+        loss_p, more_loss = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        round_index = data.draw(st.integers(1, 20), label="round")
+
+        links = in_range_links(pos, sinks, range_m)
+        sets = []
+        for p in (loss_p, more_loss):
+            params = RadioParams(range_m=range_m, loss_p=p, seed=seed)
+            pairs = compute_reachability(links, pos.time, params, round_index).delivered.tolist()
+            assert pairs == sorted(pairs)
+            found = {(s, r) for s, r in pairs}
+            assert len(found) == len(pairs)
+            assert found == reachability_reference(pos, sinks, params, round_index)
+            sets.append(found)
+        assert sets[1] <= sets[0]
+        assert np.array_equal(hop_distance_to_sinks(links, n), hops_reference(pos, sinks, range_m))
 
 
 class TestPlaceSinks:
