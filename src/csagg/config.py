@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"dct_losses={self.dct_losses} must be smaller than dct_n={self.dct_n}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         self.peloton.validate()
         # an ingested trace's rider count is checked once it is loaded
         simulated = self.scenario in ("matrix", "routing") and not self.trace_path

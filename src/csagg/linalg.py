@@ -1,11 +1,14 @@
 """Dense numerical kernel: bounded-variable LP, least squares, rank, DCT.
 
 Matrices are plain float64 numpy arrays (row-major). The LP solver accepts
-equality-constrained problems with per-variable lower bounds (minimize c.z
-subject to G z = h, z >= lower). Without explicit bounds every variable is
+equality-constrained problems with per-variable bounds (minimize c.z subject
+to G z = h, lower <= z <= upper). Without explicit bounds every variable is
 nonnegative, which is pure standard form; a lower bound of -inf makes a
-variable free. It is backed by HiGHS via scipy; results are deterministic
-for a fixed problem.
+variable free below and an upper bound of +inf (the default) free above. It
+is backed by HiGHS via scipy; results are deterministic for a fixed problem.
+An optimal solution carries the equality duals y, and is returned only with
+a primal and a dual certificate: z is feasible, every free variable's
+reduced cost c - G^T y vanishes, and c.z equals the dual objective of y.
 """
 
 from __future__ import annotations
@@ -31,15 +34,18 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . z  s.t.  eq_matrix @ z = eq_rhs, z >= lower.
+    """min objective . z  s.t.  eq_matrix @ z = eq_rhs, lower <= z <= upper.
 
-    ``lower=None`` means z >= 0 (standard form); -inf entries are free.
+    ``lower=None`` means z >= 0 (standard form); -inf entries are unbounded
+    below. ``upper=None`` means no upper bounds; +inf entries are unbounded
+    above. Both are stored as arrays.
     """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -52,13 +58,19 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", g)
         object.__setattr__(self, "eq_rhs", h)
-        if self.lower is not None:
-            lo = np.asarray(self.lower, dtype=float)
-            if lo.shape != c.shape:
-                raise DimensionError(f"lower is {lo.shape}, expected {c.shape}")
-            if np.any(np.isnan(lo) | (lo == np.inf)):
-                raise ValueError("lower bounds must be finite or -inf")
-            object.__setattr__(self, "lower", lo)
+        lo = np.zeros(c.shape) if self.lower is None else np.asarray(self.lower, dtype=float)
+        up = np.full(c.shape, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
+        for name, bound in (("lower", lo), ("upper", up)):
+            if bound.shape != c.shape:
+                raise DimensionError(f"{name} is {bound.shape}, expected {c.shape}")
+        if np.any(np.isnan(lo) | (lo == np.inf)):
+            raise ValueError("lower bounds must be finite or -inf")
+        if np.any(np.isnan(up) | (up == -np.inf)):
+            raise ValueError("upper bounds must be finite or +inf")
+        if np.any(lo > up):
+            raise ValueError("a lower bound exceeds its upper bound")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
 
     @property
     def num_vars(self) -> int:
@@ -70,26 +82,35 @@ class LpSolution:
     status: LpStatus
     values: np.ndarray | None
     objective_value: float
+    # equality duals y: the objective's sensitivity to eq_rhs
+    eq_duals: np.ndarray | None = None
 
 
 def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
-    """Solve an equality-constrained LP with lower-bounded variables.
+    """Solve an equality-constrained LP with bounded variables.
 
-    Returns an OPTIMAL solution satisfying ||G z - h||_inf <= feas_tol
-    (relative to max(1, ||h||_inf)) and z >= lower - feas_tol on every
-    finitely bounded entry, or the INFEASIBLE/UNBOUNDED status. Numerical
-    breakdown raises NumericalError.
+    Returns an OPTIMAL solution with its equality duals y, or the
+    INFEASIBLE/UNBOUNDED status. An optimal z satisfies
+    ||G z - h||_inf <= feas_tol (relative to max(1, ||h||_inf)) and lies
+    within feas_tol of its finite bounds. Its duals certify optimality: the
+    reduced cost c - G^T y of every free variable is within feas_tol of zero
+    (relative to max(1, ||c||_inf)), and c.z equals the dual objective
+    h.y + sum_j min over lower_j <= z_j <= upper_j of (c - G^T y)_j z_j within
+    feas_tol (relative to max(1, |c.z|)). A breach, or numerical breakdown,
+    raises NumericalError.
     """
     if feas_tol <= 0:
         raise ValueError("feas_tol must be positive")
-    lower = np.zeros(problem.num_vars) if problem.lower is None else problem.lower
+    c, g, h = problem.objective, problem.eq_matrix, problem.eq_rhs
+    lower, upper = problem.lower, problem.upper
+    tol = min(feas_tol, 1e-8)
     res = linprog(
-        problem.objective,
-        A_eq=sparse.csr_matrix(problem.eq_matrix),
-        b_eq=problem.eq_rhs,
-        bounds=np.column_stack([lower, np.full_like(lower, np.inf)]),
+        c,
+        A_eq=sparse.csr_matrix(g),
+        b_eq=h,
+        bounds=np.column_stack([lower, upper]),
         method="highs",
-        options={"primal_feasibility_tolerance": min(feas_tol, 1e-8)},
+        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
     )
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE, None, float("nan"))
@@ -98,16 +119,35 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
     if res.status != 0:
         raise NumericalError(f"LP solver breakdown: {res.message}")
     z = np.asarray(res.x, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(problem.eq_rhs), initial=0.0)))
-    resid = float(np.max(np.abs(problem.eq_matrix @ z - problem.eq_rhs), initial=0.0))
-    bounded = np.isfinite(lower)
-    slack = float(np.min(z[bounded] - lower[bounded], initial=0.0))
-    if resid > feas_tol * scale or slack < -feas_tol:
+    y = np.asarray(res.eqlin.marginals, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    resid = float(np.max(np.abs(g @ z - h), initial=0.0))
+    fin_lo, fin_up = np.isfinite(lower), np.isfinite(upper)
+    below = float(np.max(lower[fin_lo] - z[fin_lo], initial=0.0))
+    above = float(np.max(z[fin_up] - upper[fin_up], initial=0.0))
+    if resid > feas_tol * scale or max(below, above) > feas_tol:
         raise NumericalError(
             f"LP solution violates feasibility: residual {resid:.3e}, "
-            f"bound violation {-slack:.3e}"
+            f"bound violation {max(below, above):.3e}"
         )
-    return LpSolution(LpStatus.OPTIMAL, z, float(res.fun))
+    reduced = c - g.T @ y
+    free = ~fin_lo & ~fin_up
+    stationarity = float(np.max(np.abs(reduced[free]), initial=0.0))
+    # each bounded variable's least reduced-cost term over its box
+    at_lower = np.where(fin_lo, reduced * np.where(fin_lo, lower, 0.0), np.inf)
+    at_upper = np.where(fin_up, reduced * np.where(fin_up, upper, 0.0), np.inf)
+    dual_objective = float(h @ y) + float(np.minimum(at_lower, at_upper)[~free].sum())
+    primal_objective = float(c @ z)
+    gap = abs(primal_objective - dual_objective)
+    if (
+        stationarity > feas_tol * max(1.0, float(np.max(np.abs(c), initial=0.0)))
+        or gap > feas_tol * max(1.0, abs(primal_objective))
+    ):
+        raise NumericalError(
+            f"LP duals do not certify optimality: free reduced cost {stationarity:.3e}, "
+            f"duality gap {gap:.3e}"
+        )
+    return LpSolution(LpStatus.OPTIMAL, z, float(res.fun), y)
 
 
 def least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -99,6 +99,8 @@ class PelotonParams:
             raise ConfigError("neighbor_radius and init_length must be positive")
         if not self.base_speed_profile:
             raise ConfigError("speed profile is empty")
+        if self.seed < 0:
+            raise ConfigError(f"peloton seed={self.seed} must be >= 0")
 
     def speed_at(self, t: float) -> float:
         speed = self.base_speed_profile[0][1]

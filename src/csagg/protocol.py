@@ -15,7 +15,6 @@ equal the product of the per-round mixing matrices entry for entry.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,6 @@ from .sparsity import Measurement, build_pairwise_l1, decode_solution
 MIN_ROUNDS = 3
 DEFAULT_CAP = 32
 AGGREGATE_BITS = 64  # a real number on the wire
-SENDER_BITS = 16  # wire header fields
-ROUND_BITS = 8
 
 
 def payload_bits(n: int, cap_m: int) -> int:
@@ -300,54 +297,3 @@ def collect_timestep(
         mean_payload_bits=mean_bits,
     )
 
-
-def _bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Each value as `width` bits, least significant first: shape (..., width)."""
-    return (np.asarray(values, dtype=np.int64)[..., None] >> np.arange(width)) & 1
-
-
-def _value(bits: np.ndarray) -> np.ndarray:
-    """Inverse of _bits over the last axis."""
-    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
-
-
-def encode_message(msg: AggregateMessage, cap_m: int) -> bytes:
-    """Binary wire dump, little-endian: sender(16b), round(8b), n slots of
-    (1 sign + ceil(log2(m)) magnitude) bits, aggregate (64b float)."""
-    mag_bits = math.ceil(math.log2(cap_m))
-    row = np.asarray(msg.coeff_row, dtype=np.int64)
-    for name, value, width in (("sender", msg.sender, SENDER_BITS), ("round", msg.round, ROUND_BITS)):
-        if not 0 <= value < 1 << width:
-            raise ConfigError(f"{name} {value} does not fit in {width} bits")
-    magnitude = np.abs(row)
-    too_big = row[magnitude >= cap_m]
-    if too_big.size:
-        raise ConfigError(f"coefficient {too_big[0]} does not fit in {mag_bits} bits")
-    slots = np.column_stack([row < 0, _bits(magnitude, mag_bits)])
-    bits = np.concatenate(
-        [_bits(msg.sender, SENDER_BITS), _bits(msg.round, ROUND_BITS), slots.ravel()]
-    )
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes() + struct.pack(
-        "<d", msg.aggregate
-    )
-
-
-def decode_message(blob: bytes, n: int, cap_m: int) -> AggregateMessage:
-    """Inverse of encode_message."""
-    mag_bits = math.ceil(math.log2(cap_m))
-    head_bits = SENDER_BITS + ROUND_BITS + n * (1 + mag_bits)
-    expected = -(-head_bits // 8) + 8
-    if len(blob) != expected:
-        raise DimensionError(
-            f"message is {len(blob)} bytes; n={n}, cap_m={cap_m} needs {expected}"
-        )
-    bits = np.unpackbits(np.frombuffer(blob[:-8], dtype=np.uint8), count=head_bits, bitorder="little")
-    slots = bits[SENDER_BITS + ROUND_BITS :].reshape(n, 1 + mag_bits)
-    row = np.where(slots[:, 0] == 1, -1, 1) * _value(slots[:, 1:])
-    return AggregateMessage(
-        sender=int(_value(bits[:SENDER_BITS])),
-        round=int(_value(bits[SENDER_BITS : SENDER_BITS + ROUND_BITS])),
-        coeff_row=row,
-        aggregate=struct.unpack("<d", blob[-8:])[0],
-        payload_bits=payload_bits(n, cap_m),
-    )

@@ -7,11 +7,16 @@ measurements Y = A X:
   * pairwise:  minimize sum_{ij in E} |x_i - x_j|   (neighbors move alike)
   * laplacian: minimize ||L X||_1 with L the graph Laplacian of E
 
-Each prior is a (p, n) operator T, and every builder compiles it into one
-bounded-variable LP over [X(n), u(p), v(p)]: X is free, u, v >= 0, and
-T X - u + v = 0 splits each residual into its positive and negative parts,
-so minimizing 1.(u + v) minimizes ||T X||_1. decode_solution reads X from
-the first n entries regardless of the prior.
+Each prior is a (p, n) operator T, and every builder compiles
+min ||T X||_1 s.t. A X = Y into its LP dual, one bounded-variable LP over
+[lambda(k), mu(p)]:
+
+    maximize Y.lambda  s.t.  A^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1
+
+which has n equality rows and k + p columns. By strong duality its optimum
+is ||T X||_1 at the recovered X, and X is the negated vector of its equality
+duals, so decode_solution reads X from the solution's duals regardless of
+the prior.
 """
 
 from __future__ import annotations
@@ -67,27 +72,23 @@ def _check_edges(edges: EdgeList, n: int) -> EdgeList:
 
 
 def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
-    """LP: min 1.(u + v)  s.t.  A X = Y, T X - u + v = 0, X free, u, v >= 0.
+    """Dual LP of min ||T X||_1 s.t. A X = Y, as a minimization:
+
+    min -Y.lambda  s.t.  A^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1.
 
     T is the (p, n) operator whose componentwise absolute value is being
-    minimized. Variables: [X(n), u(p), v(p)].
+    minimized. Variables: [lambda(k), mu(p)]; X is minus the equality duals.
     """
     a, y = meas.matrix, meas.values
     k, n = a.shape
     p = t.shape[0]
-    g = np.zeros((k + p, n + 2 * p))
-    g[:k, :n] = a
-    g[k:, :n] = t
-    rows = np.arange(p)
-    g[k + rows, n + rows] = -1.0
-    g[k + rows, n + p + rows] = 1.0
-    h = np.zeros(k + p)
-    h[:k] = y
-    c = np.zeros(n + 2 * p)
-    c[n:] = 1.0
-    lower = np.zeros(n + 2 * p)
-    lower[:n] = -np.inf
-    return LpProblem(objective=c, eq_matrix=g, eq_rhs=h, lower=lower)
+    return LpProblem(
+        objective=np.concatenate([-y, np.zeros(p)]),
+        eq_matrix=np.hstack([a.T, -t.T]),
+        eq_rhs=np.zeros(n),
+        lower=np.concatenate([np.full(k, -np.inf), np.full(p, -1.0)]),
+        upper=np.concatenate([np.full(k, np.inf), np.full(p, 1.0)]),
+    )
 
 
 def build_basis_l1(meas: Measurement, basis: np.ndarray) -> LpProblem:
@@ -124,9 +125,9 @@ def build_laplacian_l1(meas: Measurement, edges: EdgeList) -> LpProblem:
 
 
 def decode_solution(sol: LpSolution, n: int) -> np.ndarray:
-    """Extract X, the leading n entries of an optimal builder solution."""
+    """Extract X, the negated equality duals of an optimal builder solution."""
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot decode a {sol.status.value} solution")
-    if sol.values is None or sol.values.shape[0] < n:
-        raise DimensionError("solution vector shorter than n")
-    return sol.values[:n]
+    if sol.eq_duals is None or sol.eq_duals.shape != (n,):
+        raise DimensionError(f"solution carries no {n} equality duals")
+    return -sol.eq_duals

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
-import struct
 
 import numpy as np
 
@@ -69,6 +67,26 @@ def standard_form_abs_lp(a: np.ndarray, y: np.ndarray, t: np.ndarray):
     return c, g, h
 
 
+def split_residual_abs_lp(a: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """(c, G, h, lower) of min ||T X||_1 s.t. A X = Y with one split residual
+    per row of T.
+
+    Variables [X(n), u(p), v(p)], X free and u, v >= 0:
+    A X = Y, T X - u + v = 0, cost 1.(u + v).
+    """
+    k, n = a.shape
+    p = t.shape[0]
+    eye = np.eye(p)
+    g = np.block([
+        [a, np.zeros((k, 2 * p))],
+        [t, -eye, eye],
+    ])
+    h = np.concatenate([y, np.zeros(p)])
+    c = np.concatenate([np.zeros(n), np.ones(2 * p)])
+    lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * p)])
+    return c, g, h, lower
+
+
 def random_bounded_lp(rng: np.random.Generator):
     """A bounded feasible LP with mixed bounds: some variables free, others z >= lower.
 
@@ -85,29 +103,6 @@ def random_bounded_lp(rng: np.random.Generator):
     h = g @ x0
     c = g.T @ rng.standard_normal(m) + np.where(free, 0.0, np.abs(rng.standard_normal(n)))
     return c, g, h, lower
-
-
-def wire_bytes_reference(sender: int, rnd: int, row, aggregate: float, cap_m: int) -> bytes:
-    """The aggregate-message wire layout written one bit at a time:
-    sender(16b), round(8b), per slot a sign bit then ceil(log2(cap_m))
-    magnitude bits, all least significant bit first and packed into bytes
-    from bit 0 up, then the aggregate as a little-endian float64."""
-    mag_bits = math.ceil(math.log2(cap_m))
-    bits: list[int] = []
-
-    def push(value: int, width: int) -> None:
-        bits.extend((value >> b) & 1 for b in range(width))
-
-    push(sender, 16)
-    push(rnd, 8)
-    for coeff in row:
-        push(int(coeff < 0), 1)
-        push(abs(int(coeff)), mag_bits)
-    head = bytes(
-        sum(bit << k for k, bit in enumerate(bits[start : start + 8]))
-        for start in range(0, len(bits), 8)
-    )
-    return head + struct.pack("<d", aggregate)
 
 
 def _in_range_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarray:

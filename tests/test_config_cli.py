@@ -14,6 +14,7 @@ from csagg.config import (
     load_config,
 )
 from csagg.errors import ConfigError
+from csagg.mobility import PelotonParams
 
 
 def _floats(**bounds):
@@ -144,6 +145,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed=5.*peloton.seed=0"):
             cfg.validate()
 
+    @pytest.mark.parametrize("scenario", ["matrix", "dct-demo"])
+    def test_negative_seed_rejected(self, scenario):
+        cfg = ExperimentConfig(scenario=scenario, seed=-1, peloton=PelotonParams(seed=-1))
+        with pytest.raises(ConfigError, match="seed=-1"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="seed=-1"):
+            cfg.peloton.validate()
+
     def test_seed_free_without_simulated_race(self):
         ExperimentConfig(scenario="dct-demo", seed=5).validate()
         ExperimentConfig(scenario="matrix", seed=5, trace_path="trace.csv").validate()
@@ -198,6 +207,15 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["matrix", "--set", "loss_p=9"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["matrix", "routing", "simulate", "dct-demo"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, scenario):
+        args = [scenario, "--out", str(tmp_path), "--seed", "-1", "--set", "n=12",
+                "--set", "duration_s=5", "--set", "steps=2", "--set", "k_neighbors=4",
+                "--set", "k_measurements=6"]
+        assert main(args) == 2
+        assert "seed=-1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_file(self, capsys):
         assert main(["matrix", "--config", "/nonexistent/x.cfg"]) == 2

@@ -103,10 +103,63 @@ class TestSolveLp:
         # x0 free, x1 >= 0, x2 >= 1: x0 + x2 = 1 and x1 + x2 = 2
         problem = LpProblem([0.0, 1.0, 1.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 2.0],
                             lower=[-np.inf, 0.0, 1.0])
-        fake = SimpleNamespace(status=0, x=np.array(returned), fun=2.0, message="")
+        fake = SimpleNamespace(status=0, x=np.array(returned), fun=2.0, message="",
+                               eqlin=SimpleNamespace(marginals=np.array([0.0, 1.0])))
         monkeypatch.setattr(csagg.linalg, "linprog", lambda *a, **k: fake)
         with pytest.raises(NumericalError, match="violates feasibility"):
             solve_lp(problem)
+
+    # x0 free, 0 <= x1 <= 3, 1 <= x2 <= 1.5: x0 + x2 = 1 and x1 + x2 = 2, so
+    # every feasible point costs x1 + x2 = 2, and y = (0, 1) certifies it
+    BOXED = LpProblem([0.0, 1.0, 1.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 2.0],
+                      lower=[-np.inf, 0.0, 1.0], upper=[np.inf, 3.0, 1.5])
+
+    def _fake_solve(self, monkeypatch, x, duals):
+        fake = SimpleNamespace(status=0, x=np.array(x), fun=2.0, message="",
+                               eqlin=SimpleNamespace(marginals=np.array(duals)))
+        monkeypatch.setattr(csagg.linalg, "linprog", lambda *a, **k: fake)
+        return solve_lp(self.BOXED)
+
+    def test_accepts_certified_solver_output(self, monkeypatch):
+        sol = self._fake_solve(monkeypatch, [-0.25, 0.75, 1.25], [0.0, 1.0])
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.eq_duals == pytest.approx([0.0, 1.0])
+
+    def test_rejects_solver_output_above_upper(self, monkeypatch):
+        with pytest.raises(NumericalError, match="violates feasibility"):
+            self._fake_solve(monkeypatch, [-0.5 - 1e-6, 0.5 - 1e-6, 1.5 + 1e-6], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "duals, breach",
+        # y = (-1e-3, 1) closes the gap but leaves x0 the reduced cost 1e-3;
+        # y = (0, 0.5) is stationary but its dual objective is 1.5
+        [([-1e-3, 1.0], "free reduced cost 1.000e-03"), ([0.0, 0.5], "duality gap 5.000e-01")],
+        ids=["breaks-stationarity", "duality-gap"],
+    )
+    def test_rejects_duals_that_do_not_certify(self, monkeypatch, duals, breach):
+        with pytest.raises(NumericalError, match=breach):
+            self._fake_solve(monkeypatch, [-0.25, 0.75, 1.25], duals)
+
+    def test_upper_bound_caps_the_optimum(self):
+        # max x0 + x1 s.t. x0 - x1 = 0, x in [0, 2]^2: z = (2, 2), y certifies -4
+        sol = solve_lp(LpProblem([-1.0, -1.0], [[1.0, -1.0]], [0.0], upper=[2.0, 2.0]))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.values == pytest.approx([2.0, 2.0], abs=1e-9)
+        assert sol.objective_value == pytest.approx(-4.0, abs=1e-9)
+
+    def test_upper_wrong_length(self):
+        with pytest.raises(DimensionError):
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], upper=[1.0])
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(None, [1.0, np.nan]), (None, [1.0, -np.inf]), ([-np.inf, 2.0], [1.0, 1.0]),
+         (None, [1.0, -0.5])],
+        ids=["nan", "minus-inf", "lower-above-upper", "default-lower-above-upper"],
+    )
+    def test_upper_must_be_a_valid_bound(self, lower, upper):
+        with pytest.raises(ValueError):
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], lower=lower, upper=upper)
 
 
 class TestLeastSquares:

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from csagg.errors import ConfigError, DimensionError
 from csagg.graph import NeighborGraph, RiderPositions, knn_graph
 from csagg.protocol import (
     AggregateMessage,
     LinearSystem,
+    SensorState,
     collect_timestep,
-    decode_message,
-    encode_message,
     initial_state,
     payload_bits,
     plan_rounds,
@@ -19,8 +16,6 @@ from csagg.protocol import (
     step_sensor,
 )
 from csagg.radio import RadioParams, place_sinks
-
-from helpers import wire_bytes_reference
 
 
 def run_lossfree_rounds(n, rounds, readings, cap_m=1024, seed=0):
@@ -229,69 +224,18 @@ class TestCollectTimestep:
 
 
 class TestWireFormat:
-    def test_encode_decode_round_trip(self):
-        rng = np.random.default_rng(2)
-        row = rng.integers(-31, 32, size=9).astype(np.int64)
-        msg = AggregateMessage(
-            sender=513, round=3, coeff_row=row, aggregate=-12.625,
-            payload_bits=payload_bits(9, 32),
-        )
-        blob = encode_message(msg, cap_m=32)
-        back = decode_message(blob, n=9, cap_m=32)
-        assert back.sender == 513
-        assert back.round == 3
-        assert np.array_equal(back.coeff_row, row)
-        assert back.aggregate == -12.625
-
-    def test_little_endian_field_order(self):
-        msg = AggregateMessage(
-            sender=1, round=2, coeff_row=np.zeros(1, dtype=np.int64),
-            aggregate=0.0, payload_bits=payload_bits(1, 32),
-        )
-        blob = encode_message(msg, cap_m=32)
-        assert blob[0] == 1  # low byte of sender first
-        assert blob[-8:] == b"\x00" * 8
-
     def test_oversized_coefficient_rejected(self):
-        msg = AggregateMessage(
-            sender=0, round=2, coeff_row=np.array([40], dtype=np.int64),
-            aggregate=0.0, payload_bits=payload_bits(1, 32),
-        )
-        with pytest.raises(ConfigError):
-            encode_message(msg, cap_m=32)
+        # payload_bits gives each coefficient ceil(log2(cap_m)) magnitude
+        # bits; a combination that would not fit is refused, not sent
+        def advance(coefficient):
+            state = SensorState(
+                id=0, round=2, coeff_row=np.array([coefficient], dtype=np.int64),
+                aggregate=1.0,
+            )
+            return step_sensor(state, [], np.random.default_rng(0), cap_m=32)
 
-
-def _message(sender=1, rnd=2, row=(0,), aggregate=0.0, cap_m=32):
-    row = np.asarray(row, dtype=np.int64)
-    return AggregateMessage(
-        sender=sender, round=rnd, coeff_row=row, aggregate=aggregate,
-        payload_bits=payload_bits(row.shape[0], cap_m),
-    )
-
-
-class TestWireBounds:
-    @pytest.mark.parametrize("sender, rnd", [(70000, 2), (-1, 2), (1, 300), (1, -1)])
-    def test_header_field_out_of_range_rejected(self, sender, rnd):
-        with pytest.raises(ConfigError, match="sender" if rnd == 2 else "round"):
-            encode_message(_message(sender=sender, rnd=rnd), cap_m=32)
-
-    @pytest.mark.parametrize("n, cap_m", [(20, 32), (1, 32), (3, 1024)])
-    def test_blob_length_must_match_n_and_cap(self, n, cap_m):
-        blob = encode_message(_message(row=[1, -2, 3]), cap_m=32)
-        with pytest.raises(DimensionError, match="bytes"):
-            decode_message(blob, n=n, cap_m=cap_m)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_round_trip_and_layout(self, data):
-        cap_m = data.draw(st.integers(2, 300))
-        row = data.draw(st.lists(st.integers(1 - cap_m, cap_m - 1), max_size=200))
-        sender = data.draw(st.integers(0, 2**16 - 1))
-        rnd = data.draw(st.integers(0, 2**8 - 1))
-        aggregate = data.draw(st.floats(allow_nan=False))
-        blob = encode_message(_message(sender, rnd, row, aggregate, cap_m), cap_m)
-        assert blob == wire_bytes_reference(sender, rnd, row, aggregate, cap_m)
-        back = decode_message(blob, n=len(row), cap_m=cap_m)
-        assert (back.sender, back.round, back.aggregate) == (sender, rnd, aggregate)
-        assert back.coeff_row.dtype == np.int64
-        assert back.coeff_row.tolist() == row
+        _, msg = advance(31)
+        assert abs(int(msg.coeff_row[0])) == 31
+        assert msg.payload_bits == 1 * 5 + 64
+        with pytest.raises(ConfigError, match="cap_m"):
+            advance(40)

@@ -15,7 +15,7 @@ from csagg.sparsity import (
     decode_solution,
     pairwise_difference_operator,
 )
-from helpers import bernoulli_matrix, standard_form_abs_lp
+from helpers import bernoulli_matrix, split_residual_abs_lp, standard_form_abs_lp
 
 
 def recover(problem, n):
@@ -164,14 +164,23 @@ class TestLaplacianL1:
 
 class TestDecode:
     def test_leading_block_is_signal(self):
-        # [X(2), u(1), v(1)] for one edge: X is read as is, signs included
-        sol = LpSolution(LpStatus.OPTIMAL, np.array([1.0, -2.0, 3.0, 0.0]), 3.0)
+        # n=2, one row, one edge: values are [lambda(1), mu(1)]; the signal
+        # block is the equality duals, one per rider, and X is their negation,
+        # signs included, whatever the values hold
+        sol = LpSolution(LpStatus.OPTIMAL, np.array([3.0, 1.0]), -3.0,
+                         eq_duals=np.array([-1.0, 2.0]))
         assert decode_solution(sol, 2) == pytest.approx([1.0, -2.0])
 
     def test_zero_solution(self):
-        # n=3 and two edges: [X(3), u(2), v(2)]
-        sol = LpSolution(LpStatus.OPTIMAL, np.zeros(3 + 2 * 2), 0.0)
+        # n=3, one row and two edges: [lambda(1), mu(2)], three equality duals
+        sol = LpSolution(LpStatus.OPTIMAL, np.zeros(1 + 2), 0.0, eq_duals=np.zeros(3))
         assert decode_solution(sol, 3) == pytest.approx([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("duals", [None, np.zeros(2)], ids=["missing", "short"])
+    def test_duals_must_cover_the_signal(self, duals):
+        sol = LpSolution(LpStatus.OPTIMAL, np.zeros(3), 0.0, eq_duals=duals)
+        with pytest.raises(DimensionError):
+            decode_solution(sol, 3)
 
     def test_round_trip_through_builder(self):
         meas = Measurement(np.ones((1, 4)), np.array([8.0]))
@@ -232,7 +241,7 @@ def _random_prior(rng: np.random.Generator, prior: str, n: int):
 
 
 class TestSplitResidualEquivalence:
-    """The [X, u, v] builder against the [X+, X-, delta, s1, s2] standard form."""
+    """The [X, u, v] split-residual oracle against the standard form."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -244,6 +253,35 @@ class TestSplitResidualEquivalence:
     def test_same_optimum_as_standard_form(self, prior, n, k_frac, seed):
         rng = np.random.default_rng(seed)
         k = 1 + int(k_frac * (n - 2))  # 1 <= k < n
+        t, _ = _random_prior(rng, prior, n)
+        a = rng.standard_normal((k, n))
+        y = a @ (10.0 + rng.standard_normal(n))
+        sol = solve_lp(LpProblem(*split_residual_abs_lp(a, y, t)))
+        assert sol.status is LpStatus.OPTIMAL
+
+        oracle = solve_lp(LpProblem(*standard_form_abs_lp(a, y, t)))
+        assert oracle.status is LpStatus.OPTIMAL
+        scale = max(1.0, abs(oracle.objective_value))
+        assert abs(sol.objective_value - oracle.objective_value) <= 1e-7 * scale
+
+        x = sol.values[:n]  # [X(n), u(p), v(p)]: X is the leading block
+        assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
+        assert abs(sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
+
+
+class TestDualEquivalence:
+    """The [lambda, mu] dual builder against the primal formulations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prior=st.sampled_from(["basis", "pairwise", "laplacian"]),
+        n=st.integers(min_value=2, max_value=12),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_dual_optimum_matches_standard_form(self, prior, n, k_frac, seed):
+        rng = np.random.default_rng(seed)
+        k = 1 + int(k_frac * (n - 2))  # 1 <= k < n
         t, build = _random_prior(rng, prior, n)
         a = rng.standard_normal((k, n))
         y = a @ (10.0 + rng.standard_normal(n))
@@ -253,8 +291,36 @@ class TestSplitResidualEquivalence:
         oracle = solve_lp(LpProblem(*standard_form_abs_lp(a, y, t)))
         assert oracle.status is LpStatus.OPTIMAL
         scale = max(1.0, abs(oracle.objective_value))
-        assert abs(sol.objective_value - oracle.objective_value) <= 1e-7 * scale
+        # the dual minimizes -Y.lambda, which is -||T X||_1 at the optimum
+        assert abs(-sol.objective_value - oracle.objective_value) <= 1e-7 * scale
 
         x = decode_solution(sol, n)
         assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
-        assert abs(sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
+        assert abs(-sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=14),
+        extra_rows=st.integers(min_value=1, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_routing_like_systems_match_split_residual(self, n, extra_rows, seed):
+        # sink systems as the protocol builds them: more rows than riders,
+        # exact duplicates, rank below n, small signed integer coefficients
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-3, 4, size=(int(rng.integers(1, n)), n))
+        mix = rng.integers(-1, 2, size=(n + extra_rows, base.shape[0]))
+        a = (mix @ base).astype(float)
+        a = np.vstack([a, a[rng.integers(0, a.shape[0], size=int(rng.integers(1, 4)))]])
+        y = a @ (10.0 + rng.standard_normal(n))
+        t, build = _random_prior(rng, "pairwise", n)
+        sol = solve_lp(build(Measurement(a, y)))
+        assert sol.status is LpStatus.OPTIMAL
+
+        oracle = solve_lp(LpProblem(*split_residual_abs_lp(a, y, t)))
+        assert oracle.status is LpStatus.OPTIMAL
+        scale = max(1.0, abs(oracle.objective_value))
+        assert abs(-sol.objective_value - oracle.objective_value) <= 1e-7 * scale
+
+        x = decode_solution(sol, n)
+        assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
