@@ -1,7 +1,7 @@
 """Compressive data aggregation for mobile sensor networks in bike races."""
 
 from .config import ExperimentConfig, load_config
-from .graph import NeighborGraph, RiderPositions, knn_graph, laplacian
+from .graph import NeighborGraph, RiderPositions, knn_graph
 from .linalg import (
     LpProblem,
     LpSolution,
@@ -22,19 +22,16 @@ from .mobility import (
 )
 from .protocol import (
     AggregateMessage,
-    LinearSystem,
     SensorState,
     collect_timestep,
     plan_rounds,
     reconstruct,
-    sink_collect,
     step_sensor,
 )
 from .radio import RadioParams, Reachability, compute_reachability, hop_distance_to_sinks, in_range_links
 from .sparsity import (
     Measurement,
     build_basis_l1,
-    build_laplacian_l1,
     build_pairwise_l1,
     decode_solution,
 )
@@ -42,7 +39,6 @@ from .sparsity import (
 __all__ = [
     "AggregateMessage",
     "ExperimentConfig",
-    "LinearSystem",
     "LpProblem",
     "LpSolution",
     "LpStatus",
@@ -57,7 +53,6 @@ __all__ = [
     "StepReport",
     "VelocityFrame",
     "build_basis_l1",
-    "build_laplacian_l1",
     "build_pairwise_l1",
     "collect_timestep",
     "compute_reachability",
@@ -67,14 +62,12 @@ __all__ = [
     "in_range_links",
     "ingest_trace",
     "knn_graph",
-    "laplacian",
     "least_squares",
     "load_config",
     "plan_rounds",
     "rank",
     "reconstruct",
     "simulate_race",
-    "sink_collect",
     "solve_lp",
     "step_sensor",
     "stress",

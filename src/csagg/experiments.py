@@ -15,7 +15,7 @@ from .graph import NeighborGraph, RiderPositions, knn_graph
 from .linalg import LpStatus, dct_matrix, rank, solve_lp
 from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
-from .protocol import CollectionResult, LinearSystem, collect_timestep, reconstruct
+from .protocol import CollectionResult, collect_timestep, reconstruct
 from .radio import place_sinks
 from .sparsity import Measurement, build_basis_l1, decode_solution
 
@@ -81,12 +81,8 @@ def _collect_matrix(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarr
     """The sink directly receives Y = A X with a random +/-1 matrix."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
     a = rng.choice(np.array([-1, 1], dtype=np.int64), size=(cfg.k_measurements, x.shape[0]))
-    y = a @ x
-    system = LinearSystem(n=x.shape[0])
-    for r in range(cfg.k_measurements):
-        system.append(a[r], float(y[r]), (-1, r))
     return CollectionResult(
-        system=system, rounds_used=0, uncoverable=(), message_count=0, mean_payload_bits=0.0
+        system=Measurement(a, a @ x), rounds_used=0, uncoverable=(), message_count=0, mean_payload_bits=0.0
     )
 
 
@@ -110,7 +106,9 @@ def _run(
     collect: Callable[[ExperimentConfig, RaceTrace, int, np.ndarray], CollectionResult],
 ) -> RunResult:
     """The step loop both experiments share. collect(cfg, trace, i, x) gives
-    the sink's equations for step i, whose true velocities are x."""
+    the sink's equations for step i, whose true velocities are x. A step
+    whose sinks received no equation is reported as "no-data" and keeps the
+    previous estimate (zeros before the first one)."""
     _check_scenario(cfg, scenario)
     trace = load_race(cfg)
     if cfg.k_neighbors >= trace.n:
@@ -120,19 +118,22 @@ def _run(
     vels = velocities(trace)
     tracker = _GraphTracker(cfg, trace)
     reports = []
+    estimate = np.zeros(trace.n)
     for i in range(_step_count(cfg, len(vels))):
         x = vels[i].x
         result = collect(cfg, trace, i, x)
-        graph = tracker.graph_for_step(i)
-        estimate, tag = reconstruct(result.system, graph)
+        if result.system.k:
+            estimate, tag = reconstruct(result.system, tracker.graph_for_step(i))
+        else:
+            tag = "no-data"
         tracker.advance(estimate)
         reports.append(
             StepReport(
                 time=vels[i].time,
                 stress=stress(x, estimate),
                 method=tag,
-                rows=len(result.system.rows),
-                rank=rank(result.system.matrix()),
+                rows=result.system.k,
+                rank=rank(result.system.rows),
                 rounds_used=result.rounds_used,
                 uncoverable=len(result.uncoverable),
                 mean_payload_bits=result.mean_payload_bits,
@@ -171,7 +172,7 @@ def dct_demo_signal(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarr
 
 
 def _basis_recover(a: np.ndarray, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    problem = build_basis_l1(Measurement(matrix=a, values=y), phi)
+    problem = build_basis_l1(Measurement(a, y), phi)
     sol = solve_lp(problem)
     if sol.status is not LpStatus.OPTIMAL:
         raise ConfigError(f"basis recovery LP came back {sol.status.value}")

@@ -1,4 +1,4 @@
-"""k-nearest-neighbor rider graph and its Laplacian."""
+"""k-nearest-neighbor rider graph and its connected components."""
 
 from __future__ import annotations
 
@@ -43,13 +43,6 @@ class NeighborGraph:
         if len(set(self.edges)) != len(self.edges):
             raise DimensionError("duplicate edges")
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
     """Connect each rider to its k nearest neighbors (Euclidean), symmetrized by union.
@@ -73,17 +66,6 @@ def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
         for j in nearest:
             edges.add((min(i, int(j)), max(i, int(j))))
     return NeighborGraph(n=n, edges=tuple(sorted(edges)))
-
-
-def laplacian(graph: NeighborGraph) -> np.ndarray:
-    """Graph Laplacian: degree on the diagonal, -1 on edges, 0 elsewhere."""
-    lap = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        lap[i, j] = -1.0
-        lap[j, i] = -1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-    return lap
 
 
 def connected_components(graph: NeighborGraph) -> list[list[int]]:

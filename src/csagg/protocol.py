@@ -6,7 +6,9 @@ row e_i. In later rounds each sensor draws a +/-1 coefficient for every
 message heard in the previous round (always including its own previous
 message), sums the combination rows and aggregates, and broadcasts the
 result. Every message a sink hears contributes one linear equation
-aggregate = coeff_row . X to the sink-side system.
+aggregate = coeff_row . X to the sink-side system, a sparsity.Measurement
+whose rows come one block per round, in sender order, with exact duplicate
+equations dropped.
 
 Combination rows are kept in exact integer arithmetic so the round-L rows
 equal the product of the per-round mixing matrices entry for entry.
@@ -60,39 +62,6 @@ class SensorState:
     aggregate: float
     # drawn mixing rows, one length-n int vector per completed round >= 2
     mix_rows: tuple[np.ndarray, ...] = field(default=())
-
-
-@dataclass
-class LinearSystem:
-    """Sink-side accumulation of equations coeff_row . X = value."""
-
-    n: int
-    rows: list[tuple[np.ndarray, float, tuple[int, int]]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._seen = {(r.tobytes(), v) for r, v, _ in self.rows}
-
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.n))
-        return np.array([r for r, _, _ in self.rows], dtype=float)
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v, _ in self.rows], dtype=float)
-
-    def append(self, coeff_row: np.ndarray, value: float, provenance: tuple[int, int]) -> bool:
-        """Add one equation; returns False if (row, value) is already present."""
-        coeff_row = np.asarray(coeff_row)
-        if coeff_row.shape != (self.n,):
-            raise DimensionError(
-                f"coefficient row has shape {coeff_row.shape}, expected ({self.n},)"
-            )
-        key = (coeff_row.tobytes(), value)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self.rows.append((coeff_row, value, provenance))
-        return True
 
 
 def initial_state(sensor_id: int, n: int, reading: float, cap_m: int = DEFAULT_CAP):
@@ -184,24 +153,15 @@ def step_sensor(
     return new_state, out
 
 
-def sink_collect(system: LinearSystem, delivered: list[AggregateMessage]) -> LinearSystem:
-    """Append one equation per delivered message, dropping exact duplicates."""
-    for msg in delivered:
-        system.append(msg.coeff_row, msg.aggregate, (msg.sender, msg.round))
-    return system
-
-
 def reconstruct(
-    system: LinearSystem, graph: NeighborGraph, feas_tol: float = 1e-8
+    system: Measurement, graph: NeighborGraph, feas_tol: float = 1e-8
 ) -> tuple[np.ndarray, str]:
     """Solve the sink system: least squares when full rank, pairwise-L1 LP otherwise."""
-    if not system.rows:
+    if system.k == 0:
         raise DimensionError("cannot reconstruct from an empty system")
-    a = system.matrix()
-    y = system.values()
-    if rank(a) == system.n:
-        return least_squares(a, y), "determined"
-    problem = build_pairwise_l1(Measurement(matrix=a, values=y), graph.edges)
+    if rank(system.rows) == system.n:
+        return least_squares(system.rows, system.values), "determined"
+    problem = build_pairwise_l1(system, graph.edges)
     sol = solve_lp(problem, feas_tol=feas_tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise NumericalError(
@@ -213,11 +173,20 @@ def reconstruct(
 
 @dataclass(frozen=True)
 class CollectionResult:
-    system: LinearSystem
+    system: Measurement
     rounds_used: int
     uncoverable: tuple[int, ...]
     message_count: int
     mean_payload_bits: float
+
+
+def _first_equations(rows: np.ndarray, values: np.ndarray) -> Measurement:
+    """The equations in order, each exact (row, value) duplicate dropped after
+    its first occurrence. Adding 0.0 turns -0.0 into 0.0, so values compare
+    as with ==."""
+    key = np.column_stack([rows, (values + 0.0).view(np.int64)])
+    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    return Measurement(rows[first], values[first])
 
 
 def collect_timestep(
@@ -231,8 +200,10 @@ def collect_timestep(
 ) -> CollectionResult:
     """Run one timestep's L rounds of broadcast, aggregation and sink collection.
 
-    check_aggregates, when set, asserts aggregate == coeff_row . readings
-    within that tolerance for every emitted message (debug hook).
+    The sink system holds every broadcast a sink hears, by round and then by
+    sender, without exact duplicates. check_aggregates, when set, asserts
+    aggregate == coeff_row . readings within that tolerance for every
+    emitted message (debug hook).
     """
     readings = np.asarray(readings, dtype=float)
     n = positions.n
@@ -249,34 +220,32 @@ def collect_timestep(
         states.append(state)
         broadcasts.append(msg)
 
-    system = LinearSystem(n=n)
+    rows_heard, values_heard = [], []
     message_count = 0
     bits_total = 0
-
-    def _verify(msg: AggregateMessage) -> None:
-        if check_aggregates is not None:
-            err = abs(msg.aggregate - float(msg.coeff_row @ readings))
-            if err > check_aggregates:
-                raise NumericalError(
-                    f"aggregate drifted from coeff_row . X by {err:.3e} "
-                    f"(sensor {msg.sender}, round {msg.round})"
-                )
-
     for rnd in range(1, rounds_total + 1):
-        for msg in broadcasts:
-            _verify(msg)
-            message_count += 1
-            bits_total += msg.payload_bits
-        reach = compute_reachability(links, positions.time, radio, rnd)
+        rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64)
+        aggregates = np.array([msg.aggregate for msg in broadcasts])
+        if check_aggregates is not None:
+            err = np.abs(aggregates - rows @ readings)
+            bad = np.flatnonzero(err > check_aggregates)
+            if bad.size:
+                raise NumericalError(
+                    f"aggregate drifted from coeff_row . X by {err[bad[0]]:.3e} "
+                    f"(sensor {bad[0]}, round {rnd})"
+                )
+        message_count += n
+        bits_total += sum(msg.payload_bits for msg in broadcasts)
+        delivered = compute_reachability(links, positions.time, radio, rnd).delivered
         # sinks hear every round; riders' inboxes feed the next one
-        inboxes: list[list[AggregateMessage]] = [[] for _ in range(n)]
-        for sender, receiver in reach.delivered.tolist():
-            if receiver >= n:
-                sink_collect(system, [broadcasts[sender]])
-            else:
-                inboxes[receiver].append(broadcasts[sender])
+        heard = np.unique(delivered[delivered[:, 1] >= n, 0])
+        rows_heard.append(rows[heard])
+        values_heard.append(aggregates[heard])
         if rnd == rounds_total:
             break
+        inboxes: list[list[AggregateMessage]] = [[] for _ in range(n)]
+        for sender, receiver in delivered[delivered[:, 1] < n].tolist():
+            inboxes[receiver].append(broadcasts[sender])
         next_states = []
         next_broadcasts = []
         for i in range(n):
@@ -290,10 +259,9 @@ def collect_timestep(
 
     mean_bits = bits_total / message_count if message_count else 0.0
     return CollectionResult(
-        system=system,
+        system=_first_equations(np.vstack(rows_heard), np.concatenate(values_heard)),
         rounds_used=rounds_total,
         uncoverable=uncoverable,
         message_count=message_count,
         mean_payload_bits=mean_bits,
     )
-

@@ -1,13 +1,12 @@
 """Compile L1 recovery formulations into bounded-variable LPs and decode back.
 
-Three priors are supported for recovering a length-n signal X from k linear
-measurements Y = A X:
+Two formulations are supported for recovering a length-n signal X from k
+linear measurements Y = A X:
 
   * basis:     minimize ||phi X||_1        (sparsity in a transform basis)
   * pairwise:  minimize sum_{ij in E} |x_i - x_j|   (neighbors move alike)
-  * laplacian: minimize ||L X||_1 with L the graph Laplacian of E
 
-Each prior is a (p, n) operator T, and every builder compiles
+Each prior is a (p, n) operator T, and both builders compile
 min ||T X||_1 s.t. A X = Y into its LP dual, one bounded-variable LP over
 [lambda(k), mu(p)]:
 
@@ -33,28 +32,28 @@ EdgeList = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class Measurement:
-    """Received linear system: values = matrix @ X for the true signal X."""
+    """Received linear system: values = rows @ X for the true signal X."""
 
-    matrix: np.ndarray  # (k, n)
+    rows: np.ndarray  # (k, n)
     values: np.ndarray  # (k,)
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        a = np.atleast_2d(np.asarray(self.rows, dtype=float))
         y = np.asarray(self.values, dtype=float)
         if a.shape[0] != y.shape[0]:
             raise DimensionError(
                 f"{a.shape[0]} measurement rows but {y.shape[0]} values"
             )
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "rows", a)
         object.__setattr__(self, "values", y)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[1]
+        return self.rows.shape[1]
 
     @property
     def k(self) -> int:
-        return self.matrix.shape[0]
+        return self.rows.shape[0]
 
 
 def _check_edges(edges: EdgeList, n: int) -> EdgeList:
@@ -79,7 +78,7 @@ def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
     T is the (p, n) operator whose componentwise absolute value is being
     minimized. Variables: [lambda(k), mu(p)]; X is minus the equality duals.
     """
-    a, y = meas.matrix, meas.values
+    a, y = meas.rows, meas.values
     k, n = a.shape
     p = t.shape[0]
     return LpProblem(
@@ -113,15 +112,6 @@ def pairwise_difference_operator(edges: EdgeList, n: int) -> np.ndarray:
 def build_pairwise_l1(meas: Measurement, edges: EdgeList) -> LpProblem:
     """min sum over edges of |x_i - x_j| subject to the measurements."""
     return _abs_bound_lp(meas, pairwise_difference_operator(edges, meas.n))
-
-
-def build_laplacian_l1(meas: Measurement, edges: EdgeList) -> LpProblem:
-    """min ||L X||_1 with L the graph Laplacian of the edge set."""
-    from .graph import NeighborGraph, laplacian
-
-    edges = _check_edges(edges, meas.n)
-    lap = laplacian(NeighborGraph(n=meas.n, edges=edges))
-    return _abs_bound_lp(meas, lap)
 
 
 def decode_solution(sol: LpSolution, n: int) -> np.ndarray:

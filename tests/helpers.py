@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from csagg.graph import RiderPositions
+from csagg.protocol import initial_state, step_sensor
 from csagg.radio import RadioParams, link_uniforms
 
 
@@ -149,3 +150,50 @@ def hops_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarr
                     nxt.append(int(w))
         frontier = nxt
     return hops[:n]
+
+
+def sink_system_reference(
+    readings: np.ndarray,
+    positions: RiderPositions,
+    sinks,
+    params: RadioParams,
+    cap_m: int,
+    step_index: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of one timestep's sink system, one delivered pair at a time.
+
+    Rounds, hop counts and deliveries come from the distance-matrix oracles
+    above. Each round walks the delivered (sender, receiver) pairs in sorted
+    order: a rider's inbox takes the message, and a sink appends its
+    equation unless the same (row, value) pair is already in the system.
+    Sensors then advance with step_sensor under the protocol's seed
+    (seed, step, round, sensor).
+    """
+    n = positions.n
+    hops = hops_reference(positions, sinks, params.range_m)
+    finite = hops[np.isfinite(hops)]
+    rounds = max(3, int(finite.max()) if finite.size else 0)
+    states, msgs = zip(*(initial_state(i, n, readings[i], cap_m) for i in range(n)))
+    rows, values, seen = [], [], set()
+    for rnd in range(1, rounds + 1):
+        inboxes = [[] for _ in range(n)]
+        for sender, receiver in sorted(reachability_reference(positions, sinks, params, rnd)):
+            msg = msgs[sender]
+            if receiver < n:
+                inboxes[receiver].append(msg)
+            elif (msg.coeff_row.tobytes(), msg.aggregate) not in seen:
+                seen.add((msg.coeff_row.tobytes(), msg.aggregate))
+                rows.append(msg.coeff_row)
+                values.append(msg.aggregate)
+        if rnd == rounds:
+            break
+        states, msgs = zip(*(
+            step_sensor(
+                states[i],
+                inboxes[i],
+                np.random.default_rng(np.random.SeedSequence((params.seed, step_index, rnd, i))),
+                cap_m,
+            )
+            for i in range(n)
+        ))
+    return np.array(rows, dtype=np.int64).reshape(-1, n), np.array(values, dtype=float)

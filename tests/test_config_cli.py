@@ -1,9 +1,14 @@
 import os
+import re
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csagg import experiments
 from csagg.cli import main
 from csagg.config import (
     GRAPH_MODES,
@@ -14,7 +19,10 @@ from csagg.config import (
     load_config,
 )
 from csagg.errors import ConfigError
-from csagg.mobility import PelotonParams
+from csagg.metrics import stress
+from csagg.mobility import PelotonParams, simulate_race, velocities
+from csagg.protocol import CollectionResult
+from csagg.sparsity import Measurement
 
 
 def _floats(**bounds):
@@ -161,6 +169,18 @@ class TestConfig:
         cfg = apply_setting(ExperimentConfig(), "scenario", "bogus")
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_readme_key_table_is_complete(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
+        documented = {
+            key
+            for line in table.strip().splitlines()
+            for key in re.findall(r"`([a-z_]+)`", line.split("|")[1])
+        }
+        printed = {line.split("=", 1)[0] for line in config_lines(replace(ExperimentConfig(), trace_path="t.csv"))}
+        assert printed <= documented, sorted(printed - documented)
+        assert "out" in documented
 
 
 FAST = [
@@ -310,6 +330,41 @@ class TestCli:
             single = tmp_path / f"single_{value}"
             assert main([scenario, "--out", str(single)] + args + ["--set", f"{key}={value}"]) == 0
             assert point.read_bytes() == (single / report).read_bytes()
+
+    def test_empty_sink_system_reports_no_data(self, tmp_path, capsys):
+        # at range_m=1e-3 no sink hears any rider: every step has no equation
+        args = ["routing", "--out", str(tmp_path), "--set", "n=12", "--set", "duration_s=5",
+                "--set", "steps=2", "--set", "k_neighbors=4", "--set", "range_m=1e-3"]
+        assert main(args) == 0
+        rows = [line.split(",") for line in (tmp_path / "report_routing.csv").read_text().splitlines()
+                if line and not line.startswith(("#", "time_s"))]
+        assert len(rows) == 2
+        for time_s, stress_, method, k, rank, _, uncoverable, _ in rows:
+            assert (stress_, method, k, rank, uncoverable) == ("1", "no-data", "0", "0", "12")
+
+    def test_no_data_step_keeps_previous_estimate(self, tmp_path, monkeypatch):
+        cfg = load_config(None, ["scenario=matrix", f"out={tmp_path}", "n=12", "duration_s=20",
+                                 "steps=4", "init_length_m=60", "k_measurements=6", "k_neighbors=4"])
+        collect, reconstruct = experiments._collect_matrix, experiments.reconstruct
+        estimates = []
+
+        def starved(cfg_, trace, i, x):  # steps 0 and 2 reach no sink
+            if i in (0, 2):
+                return CollectionResult(Measurement(np.zeros((0, x.shape[0])), np.zeros(0)), 0, (), 0, 0.0)
+            return collect(cfg_, trace, i, x)
+
+        def recording(system, graph):
+            estimates.append(reconstruct(system, graph))
+            return estimates[-1]
+
+        monkeypatch.setattr(experiments, "_collect_matrix", starved)
+        monkeypatch.setattr(experiments, "reconstruct", recording)
+        reports = experiments.run_matrix(cfg).reports
+        vels = velocities(simulate_race(cfg.peloton))
+        assert [r.method for r in reports] == ["no-data", "cs-lp", "no-data", "cs-lp"]
+        assert [r.rows for r in reports] == [0, 6, 0, 6]
+        assert reports[0].stress == 1.0  # zeros before the first estimate
+        assert reports[2].stress == stress(vels[2].x, estimates[0][0])
 
     def test_sweep_rejects_simulate(self, tmp_path):
         args = ["sweep", "seed=1,2", "--set", "scenario=simulate", "--out", str(tmp_path / "s")]

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csagg.errors import ConfigError, DimensionError
+from csagg import protocol
+from csagg.errors import ConfigError, DimensionError, NumericalError
 from csagg.graph import NeighborGraph, RiderPositions, knn_graph
+from csagg.linalg import rank
+from csagg.metrics import stress
 from csagg.protocol import (
+    DEFAULT_CAP,
     AggregateMessage,
-    LinearSystem,
     SensorState,
     collect_timestep,
     initial_state,
     payload_bits,
     plan_rounds,
     reconstruct,
-    sink_collect,
     step_sensor,
 )
 from csagg.radio import RadioParams, place_sinks
+from csagg.sparsity import Measurement
+from helpers import sink_system_reference
 
 
 def run_lossfree_rounds(n, rounds, readings, cap_m=1024, seed=0):
@@ -128,56 +134,130 @@ class TestStepSensor:
                 run_lossfree_rounds(n, 6, readings, cap_m=2, seed=seed)
 
 
+def _equation_keys(system: Measurement) -> set[tuple[bytes, float]]:
+    return {(row.tobytes(), value) for row, value in zip(system.rows, system.values.tolist())}
+
+
 class TestSinkCollect:
     def test_duplicate_rows_dropped(self):
-        system = LinearSystem(n=4)
-        _, msg = initial_state(3, 4, 9.0)
-        sink_collect(system, [msg])
-        sink_collect(system, [msg])  # second sink heard the same broadcast
-        assert len(system.rows) == 1
-        assert system.rows[0][2] == (3, 1)
+        # both sinks hear both riders in every round: each broadcast is one
+        # equation, and round 1 gives the unit rows in sender order
+        readings = np.array([3.0, 4.0])
+        pos = RiderPositions(0.0, [[5.0, 0.0], [5.0, 1.0]])
+        sinks = np.array([[0.0, 0.0], [10.0, 0.0]])
+        radio = RadioParams(range_m=20.0)
+        result = collect_timestep(readings, pos, sinks, radio)
+        system = result.system
+        assert np.array_equal(system.rows[:2], np.eye(2))
+        assert np.array_equal(system.values[:2], readings)
+        assert system.k <= 2 * result.rounds_used
+        assert len(_equation_keys(system)) == system.k
+        rows, values = sink_system_reference(readings, pos, sinks, radio, DEFAULT_CAP, 0)
+        assert np.array_equal(system.rows, rows)
+        assert np.array_equal(system.values, values)
+
+    @pytest.mark.parametrize(
+        "reading, step, own_rows",
+        [(7.0, 0, 2),  # rows e_0, e_0, -e_0
+         (-0.0, 3, 1)],  # (e_0, -0.0), then (e_0, 0.0) twice: equal values under ==
+    )
+    def test_isolated_sensor_resends_its_own_row(self, reading, step, own_rows):
+        # rider 0 hears no rider, so each round it re-sends +/-e_0; its three
+        # broadcasts hold at most two distinct equations, e_0 first
+        readings = np.array([reading, 8.0, 9.0])
+        pos = RiderPositions(0.0, [[0.0, 0.0], [500.0, 0.0], [502.0, 0.0]])
+        sinks = np.array([[1.0, 0.0], [501.0, 0.0]])
+        radio = RadioParams(range_m=20.0)
+        result = collect_timestep(readings, pos, sinks, radio, step_index=step)
+        assert result.rounds_used == 3
+        system = result.system
+        own = system.rows[:, 0] != 0
+        assert own.sum() == own_rows
+        assert np.array_equal(system.rows[own][0], [1, 0, 0])
+        assert np.array_equal(np.abs(system.rows[own]), np.tile([1, 0, 0], (own.sum(), 1)))
+        assert np.array_equal(system.values[own], system.rows[own][:, 0] * readings[0])
+        assert len(_equation_keys(system)) == system.k
+        rows, values = sink_system_reference(readings, pos, sinks, radio, DEFAULT_CAP, step)
+        assert np.array_equal(system.rows, rows)
+        assert np.array_equal(system.values, values)
 
     def test_rows_accumulate_across_rounds(self):
+        rng = np.random.default_rng(0)
+        pos = RiderPositions(0.0, np.column_stack([rng.uniform(0, 20, 10), rng.uniform(-2, 2, 10)]))
         readings = np.arange(1.0, 11.0)
-        _, history = run_lossfree_rounds(10, 3, readings)
-        system = LinearSystem(n=10)
-        for round_msgs in history:
-            sink_collect(system, round_msgs)
-        assert len(system.rows) >= 10
-        from csagg.linalg import rank
-
-        assert rank(system.matrix()) == 10
+        result = collect_timestep(readings, pos, place_sinks(pos), RadioParams(range_m=50.0), cap_m=1024)
+        system = result.system
+        assert np.array_equal(system.rows[:10], np.eye(10))  # round 1, in sender order
+        assert system.k >= 10
+        assert rank(system.rows) == 10
+        assert system.rows @ readings == pytest.approx(system.values, abs=1e-12)
 
     def test_length_mismatch(self):
-        system = LinearSystem(n=3)
         with pytest.raises(DimensionError):
-            system.append(np.array([1, 0]), 1.0, (0, 1))
+            Measurement(np.ones((2, 3)), np.zeros(3))
+        pos = RiderPositions(0.0, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(DimensionError):
+            collect_timestep(np.zeros(2), pos, place_sinks(pos), RadioParams())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_pair_reference(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        coords = st.tuples(st.floats(0.0, 100.0), st.floats(-4.0, 4.0))
+        pos = RiderPositions(
+            data.draw(st.floats(0.0, 1e4), label="time"),
+            data.draw(st.lists(coords, min_size=n, max_size=n), label="riders"),
+        )
+        n_sinks = data.draw(st.sampled_from([2, 1, 0]), label="n_sinks")
+        sinks = np.array(
+            data.draw(st.lists(coords, min_size=n_sinks, max_size=n_sinks), label="sinks"), dtype=float
+        ).reshape(-1, 2)
+        radio = RadioParams(
+            range_m=data.draw(st.floats(5.0, 150.0), label="range_m"),
+            loss_p=data.draw(st.floats(0.0, 1.0), label="loss_p"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        )
+        cap_m = data.draw(st.integers(64, 1024), label="cap_m")
+        step = data.draw(st.integers(0, 10_000), label="step")
+        readings = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n), label="x"))
+
+        def collect():
+            return collect_timestep(
+                readings, pos, sinks, radio, cap_m=cap_m, step_index=step, check_aggregates=1e-6
+            )
+
+        try:
+            rows, values = sink_system_reference(readings, pos, sinks, radio, cap_m, step)
+        except ConfigError:  # a coefficient outgrew cap_m in the oracle too
+            with pytest.raises(ConfigError):
+                collect()
+            return
+        system = collect().system
+        assert np.array_equal(system.rows, rows)
+        assert np.array_equal(system.values, values)
 
 
 class TestReconstruct:
     def test_identity_rows_determined(self):
-        system = LinearSystem(n=3)
         y = [4.0, 5.0, 6.0]
-        for i in range(3):
-            row = np.zeros(3, dtype=np.int64)
-            row[i] = 1
-            system.append(row, y[i], (i, 1))
+        system = Measurement(np.eye(3, dtype=np.int64), y)
         graph = NeighborGraph(n=3, edges=((0, 1), (1, 2)))
         estimate, tag = reconstruct(system, graph)
         assert tag == "determined"
         assert estimate == pytest.approx(y)
 
     def test_underdetermined_uses_cs_lp(self):
-        system = LinearSystem(n=4)
-        system.append(np.ones(4, dtype=np.int64), 8.0, (0, 1))
+        system = Measurement(np.ones((1, 4), dtype=np.int64), [8.0])
         graph = NeighborGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
         estimate, tag = reconstruct(system, graph)
         assert tag == "cs-lp"
         assert estimate == pytest.approx([2.0, 2.0, 2.0, 2.0], abs=1e-8)
 
     def test_empty_system_rejected(self):
+        empty = Measurement(np.zeros((0, 3)), np.zeros(0))
+        assert empty.k == 0 and empty.n == 3
         with pytest.raises(DimensionError):
-            reconstruct(LinearSystem(n=3), NeighborGraph(n=3, edges=((0, 1),)))
+            reconstruct(empty, NeighborGraph(n=3, edges=((0, 1),)))
 
 
 class TestCollectTimestep:
@@ -194,17 +274,14 @@ class TestCollectTimestep:
     def test_lossfree_full_rank(self):
         readings, pos, sinks, radio = self._scenario()
         result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
-        from csagg.linalg import rank
-
         assert result.rounds_used >= 3
-        assert rank(result.system.matrix()) == 40
+        assert rank(result.system.rows) == 40
 
     def test_lossy_round_trip_reconstruction(self):
         readings, pos, sinks, radio = self._scenario(loss_p=0.5, seed=3)
         result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
         graph = knn_graph(pos, 8)
         estimate, _ = reconstruct(result.system, graph)
-        from csagg.metrics import stress
 
         assert stress(readings, estimate) < 0.01
 
@@ -218,9 +295,23 @@ class TestCollectTimestep:
         readings, pos, sinks, radio = self._scenario(loss_p=0.5, seed=9)
         r1 = collect_timestep(readings, pos, sinks, radio, step_index=4)
         r2 = collect_timestep(readings, pos, sinks, radio, step_index=4)
-        assert len(r1.system.rows) == len(r2.system.rows)
-        for (row1, v1, p1), (row2, v2, p2) in zip(r1.system.rows, r2.system.rows):
-            assert np.array_equal(row1, row2) and v1 == v2 and p1 == p2
+        assert r1.system.k == r2.system.k
+        assert np.array_equal(r1.system.rows, r2.system.rows)
+        assert np.array_equal(r1.system.values, r2.system.values)
+
+    def test_check_aggregates_names_sensor_and_round(self, monkeypatch):
+        # sensors 5 and 7 send wrong round-2 aggregates; the first is named
+        def drifting(state, inbox, rng, cap_m):
+            new_state, msg = step_sensor(state, inbox, rng, cap_m)
+            if state.id in (5, 7) and msg.round == 2:
+                msg = AggregateMessage(msg.sender, msg.round, msg.coeff_row, msg.aggregate + 1e-6, msg.payload_bits)
+            return new_state, msg
+
+        monkeypatch.setattr(protocol, "step_sensor", drifting)
+        readings, pos, sinks, radio = self._scenario()
+        collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-5)
+        with pytest.raises(NumericalError, match=r"sensor 5, round 2"):
+            collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
 
 
 class TestWireFormat:

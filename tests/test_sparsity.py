@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csagg.errors import DimensionError
-from csagg.graph import NeighborGraph, RiderPositions, connected_components, knn_graph, laplacian
+from csagg.graph import RiderPositions, connected_components, knn_graph
 from csagg.linalg import DEFAULT_FEAS_TOL, LpProblem, LpStatus, LpSolution, dct_matrix, solve_lp
 from csagg.metrics import stress
 from csagg.sparsity import (
     Measurement,
     build_basis_l1,
-    build_laplacian_l1,
     build_pairwise_l1,
     decode_solution,
     pairwise_difference_operator,
@@ -132,36 +131,6 @@ class TestPairwiseL1:
         assert means[10] >= means[20]
 
 
-class TestLaplacianL1:
-    def test_constant_signal_recovered(self):
-        # the Laplacian annihilates constants, so one consistent row suffices
-        a = np.array([[1.0, 0.0, 0.0]])
-        x = recover(build_laplacian_l1(Measurement(a, np.array([5.0])), ((0, 1), (1, 2))), 3)
-        assert np.abs(x - 5.0).max() <= 1e-8
-
-    def test_identity_measurement(self):
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal(4)
-        x = recover(build_laplacian_l1(Measurement(np.eye(4), y), PATH_EDGES_4), 4)
-        assert np.abs(x - y).max() <= 1e-8
-
-    def test_never_beats_pairwise_on_two_groups(self):
-        # group-constant truth, group-indicator measurements, 50 seeds:
-        # the pairwise prior is at least as accurate on average
-        a = np.array([[1.0, 1, 1, 0, 0, 0], [0, 0, 0, 1.0, 1, 1]])
-        pair_stress, lap_stress = [], []
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            c1, c2 = rng.uniform(8.0, 14.0, size=2)
-            x0 = np.array([c1] * 3 + [c2] * 3)
-            meas = Measurement(a, a @ x0)
-            xp = recover(build_pairwise_l1(meas, TWO_GROUP_EDGES), 6)
-            xl = recover(build_laplacian_l1(meas, TWO_GROUP_EDGES), 6)
-            pair_stress.append(stress(x0, xp))
-            lap_stress.append(stress(x0, xl))
-        assert np.mean(lap_stress) >= np.mean(pair_stress) - 1e-12
-
-
 class TestDecode:
     def test_leading_block_is_signal(self):
         # n=2, one row, one edge: values are [lambda(1), mu(1)]; the signal
@@ -217,7 +186,6 @@ class TestFormulationEquivalence:
         for problem in (
             build_basis_l1(meas, dct_matrix(5)),
             build_pairwise_l1(meas, edges),
-            build_laplacian_l1(meas, edges),
         ):
             x = recover(problem, 5)
             assert np.abs(x - y).max() <= 1e-8
@@ -234,10 +202,7 @@ def _random_prior(rng: np.random.Generator, prior: str, n: int):
         if i != j:
             edges.add((min(i, j), max(i, j)))
     edges = tuple(sorted(edges))
-    if prior == "pairwise":
-        return pairwise_difference_operator(edges, n), lambda meas: build_pairwise_l1(meas, edges)
-    t = laplacian(NeighborGraph(n=n, edges=edges))
-    return t, lambda meas: build_laplacian_l1(meas, edges)
+    return pairwise_difference_operator(edges, n), lambda meas: build_pairwise_l1(meas, edges)
 
 
 class TestSplitResidualEquivalence:
@@ -245,7 +210,7 @@ class TestSplitResidualEquivalence:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        prior=st.sampled_from(["basis", "pairwise", "laplacian"]),
+        prior=st.sampled_from(["basis", "pairwise"]),
         n=st.integers(min_value=2, max_value=12),
         k_frac=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -274,7 +239,7 @@ class TestDualEquivalence:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        prior=st.sampled_from(["basis", "pairwise", "laplacian"]),
+        prior=st.sampled_from(["basis", "pairwise"]),
         n=st.integers(min_value=2, max_value=12),
         k_frac=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
