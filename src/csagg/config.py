@@ -7,6 +7,7 @@ run can be reproduced by copying those lines back into a config file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -15,6 +16,20 @@ from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
 GRAPH_MODES = ("reconstruction", "truth")
+# config key -> the PelotonParams float field it sets
+_PELOTON_FLOATS = {
+    "duration_s": "duration",
+    "dt_s": "dt",
+    "separation_gain": "separation_gain",
+    "alignment_gain": "alignment_gain",
+    "cohesion_gain": "cohesion_gain",
+    "neighbor_radius_m": "neighbor_radius",
+    "breakaway_rate": "breakaway_rate",
+    "breakaway_boost_mps": "breakaway_boost",
+    "breakaway_duration_s": "breakaway_duration",
+    "speed_jitter_mps": "speed_jitter",
+    "init_length_m": "init_length",
+}
 
 
 @dataclass(frozen=True)
@@ -41,6 +56,16 @@ class ExperimentConfig:
         return RadioParams(range_m=self.range_m, loss_p=self.loss_p, seed=self.seed)
 
     def validate(self) -> None:
+        numbers = {key: getattr(self.peloton, field) for key, field in _PELOTON_FLOATS.items()}
+        numbers.update(range_m=self.range_m, loss_p=self.loss_p)
+        for key, value in numbers.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}={value} must be a finite number")
+        if not all(math.isfinite(x) for entry in self.peloton.base_speed_profile for x in entry):
+            raise ConfigError(
+                f"base_speed_profile={_format_profile(self.peloton.base_speed_profile)} "
+                "must hold finite numbers"
+            )
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.graph_mode not in GRAPH_MODES:
@@ -118,30 +143,10 @@ def apply_setting(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConf
                 return replace(cfg, scenario=value)
             case "n":
                 return replace(cfg, peloton=replace(p, n=int(value)))
-            case "duration_s":
-                return replace(cfg, peloton=replace(p, duration=float(value)))
-            case "dt_s":
-                return replace(cfg, peloton=replace(p, dt=float(value)))
             case "base_speed_profile":
                 return replace(cfg, peloton=replace(p, base_speed_profile=_parse_profile(value)))
-            case "separation_gain":
-                return replace(cfg, peloton=replace(p, separation_gain=float(value)))
-            case "alignment_gain":
-                return replace(cfg, peloton=replace(p, alignment_gain=float(value)))
-            case "cohesion_gain":
-                return replace(cfg, peloton=replace(p, cohesion_gain=float(value)))
-            case "neighbor_radius_m":
-                return replace(cfg, peloton=replace(p, neighbor_radius=float(value)))
-            case "breakaway_rate":
-                return replace(cfg, peloton=replace(p, breakaway_rate=float(value)))
-            case "breakaway_boost_mps":
-                return replace(cfg, peloton=replace(p, breakaway_boost=float(value)))
-            case "breakaway_duration_s":
-                return replace(cfg, peloton=replace(p, breakaway_duration=float(value)))
-            case "speed_jitter_mps":
-                return replace(cfg, peloton=replace(p, speed_jitter=float(value)))
-            case "init_length_m":
-                return replace(cfg, peloton=replace(p, init_length=float(value)))
+            case _ if key in _PELOTON_FLOATS:
+                return replace(cfg, peloton=replace(p, **{_PELOTON_FLOATS[key]: float(value)}))
             case "trace":
                 return replace(cfg, trace_path=value or None)
             case "range_m":

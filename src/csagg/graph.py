@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionError
 
@@ -55,39 +57,22 @@ def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
         raise DimensionError("need at least 2 riders to build a graph")
     if not 1 <= k_neighbors < n:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
-    p = positions.pos
-    diff = p[:, None, :] - p[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = cdist(positions.pos, positions.pos)
     np.fill_diagonal(dist, np.inf)
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        # stable sort on distance keeps lower indices first among ties
-        nearest = np.argsort(dist[i], kind="stable")[:k_neighbors]
-        for j in nearest:
-            edges.add((min(i, int(j)), max(i, int(j))))
-    return NeighborGraph(n=n, edges=tuple(sorted(edges)))
+    # stable sort on distance keeps lower indices first among ties
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
+    pairs = np.column_stack([np.repeat(np.arange(n), k_neighbors), nearest.ravel()])
+    edges = np.unique(np.sort(pairs, axis=1), axis=0)
+    return NeighborGraph(n=n, edges=tuple(map(tuple, edges.tolist())))
 
 
 def connected_components(graph: NeighborGraph) -> list[list[int]]:
-    """Vertex sets of the connected components (BFS)."""
-    adj: list[list[int]] = [[] for _ in range(graph.n)]
-    for i, j in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * graph.n
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    frontier.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex sets of the connected components, each sorted, ordered by their
+    lowest vertex."""
+    e = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    adjacency = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
+    labels = csgraph.connected_components(adjacency, directed=False)[1]
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    # a graph without vertices splits into one empty piece
+    return sorted((c.tolist() for c in comps if c.size), key=lambda c: c[0])

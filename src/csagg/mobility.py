@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DimensionError, TraceFormatError
 from .graph import RiderPositions
@@ -89,6 +90,12 @@ class PelotonParams:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}={value} must be finite")
+        if not np.isfinite(self.base_speed_profile).all():
+            raise ConfigError(f"base_speed_profile {self.base_speed_profile} must be finite")
         if self.n < 1 or self.dt <= 0 or self.duration <= 0:
             raise ConfigError("n, dt and duration must be positive")
         if min(self.separation_gain, self.alignment_gain, self.cohesion_gain) < 0:
@@ -108,6 +115,36 @@ class PelotonParams:
             if t >= start:
                 speed = value
         return speed
+
+
+def flocking_acceleration(pos: np.ndarray, vel: np.ndarray, params: PelotonParams) -> np.ndarray:
+    """Cohesion, alignment and separation of every rider, (n, 2) m/s^2, each a
+    weighted sum over its neighbours, together clamped to +/-FLOCK_ACCEL_CLAMP."""
+    dist = cdist(pos, pos)
+    np.fill_diagonal(dist, np.inf)
+    nbr = dist <= params.neighbor_radius
+    counts = nbr.sum(axis=1, keepdims=True)
+    # row-normalised neighbour weights; a rider without neighbours has a
+    # zero row and has = 0, so its cohesion and alignment vanish
+    w = nbr / np.maximum(counts, 1)
+    has = counts > 0
+    # every term is a difference of positions; taken from the peloton's
+    # centre, they do not cancel road-scale coordinates (kilometres)
+    pos = pos - pos.mean(axis=0)
+    # cohesion: towards the neighbor centroid; alignment: towards the mean
+    # neighbor velocity. The products are einsum, which sums in one order on
+    # every CPU; BLAS `@` picks a kernel per CPU, and races simulated with
+    # two kernels part by millimetres
+    acc = params.cohesion_gain * (np.einsum("ij,jk->ik", w, pos) - has * pos)
+    acc += params.alignment_gain * (np.einsum("ij,jk->ik", w, vel) - has * vel)
+    # separation: repulsion inside SEPARATION_RADIUS_M with weight s_ij on
+    # pos_i - pos_j; on the infinite diagonal 0 is divided by inf
+    s = np.where(dist < SEPARATION_RADIUS_M, SEPARATION_RADIUS_M - dist, 0.0) / (
+        SEPARATION_RADIUS_M * np.maximum(dist, 1e-6)
+    )
+    repulsion = s.sum(axis=1, keepdims=True) * pos - np.einsum("ij,jk->ik", s, pos)
+    acc += params.separation_gain * repulsion
+    return np.clip(acc, -FLOCK_ACCEL_CLAMP, FLOCK_ACCEL_CLAMP, out=acc)
 
 
 def simulate_race(params: PelotonParams) -> RaceTrace:
@@ -138,35 +175,7 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
         boost_until[starting] = t + params.breakaway_duration
         target[boost_until > t] += params.breakaway_boost
 
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        nbr = dist <= params.neighbor_radius
-        counts = nbr.sum(axis=1)
-
-        acc = np.zeros((n, 2))
-        has = counts > 0
-        if np.any(has):
-            # cohesion: towards the neighbor centroid
-            centroid = (nbr[:, :, None] * pos[None, :, :]).sum(axis=1)
-            centroid[has] /= counts[has, None]
-            coh = np.zeros((n, 2))
-            coh[has] = params.cohesion_gain * (centroid[has] - pos[has])
-            # alignment: towards the mean neighbor velocity
-            meanvel = (nbr[:, :, None] * vel[None, :, :]).sum(axis=1)
-            meanvel[has] /= counts[has, None]
-            ali = np.zeros((n, 2))
-            ali[has] = params.alignment_gain * (meanvel[has] - vel[has])
-            acc += coh + ali
-        # separation: repulsion inside SEPARATION_RADIUS_M
-        close = dist < SEPARATION_RADIUS_M
-        if np.any(close):
-            safe = np.maximum(dist, 1e-6)
-            safe[~np.isfinite(safe)] = 1.0
-            weight = np.where(close, SEPARATION_RADIUS_M - dist, 0.0) / (SEPARATION_RADIUS_M * safe)
-            acc += params.separation_gain * (weight[:, :, None] * diff).sum(axis=1)
-        np.clip(acc, -FLOCK_ACCEL_CLAMP, FLOCK_ACCEL_CLAMP, out=acc)
-
+        acc = flocking_acceleration(pos, vel, params)
         acc[:, 0] += SPEED_RELAX_PER_S * (target - vel[:, 0])
 
         vel = vel + dt * acc

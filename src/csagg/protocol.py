@@ -5,10 +5,11 @@ every sensor broadcasts its own reading tagged with the unit combination
 row e_i. In later rounds each sensor draws a +/-1 coefficient for every
 message heard in the previous round (always including its own previous
 message), sums the combination rows and aggregates, and broadcasts the
-result. Every message a sink hears contributes one linear equation
-aggregate = coeff_row . X to the sink-side system, a sparsity.Measurement
-whose rows come one block per round, in sender order, with exact duplicate
-equations dropped.
+result; a sum with a coefficient of cap_m or more would not fit the wire, so
+the sensor forwards its previous message instead. Every message a sink
+hears contributes one linear equation aggregate = coeff_row . X to the
+sink-side system, a sparsity.Measurement whose rows come one block per
+round, in sender order, with exact duplicate equations dropped.
 
 Combination rows are kept in exact integer arithmetic so the round-L rows
 equal the product of the per-round mixing matrices entry for entry.
@@ -102,8 +103,16 @@ def step_sensor(
 
     The sensor's own previous message always contributes; if the inbox pushes
     the contributor count above cap_m, a uniform subsample of the inbox is
-    combined instead (self always kept).
+    combined instead (self always kept). A combination with a coefficient of
+    cap_m or more would not fit its ceil(log2 cap_m)-bit slot: it is not
+    sent, and the sensor forwards its previous row and aggregate instead, with
+    mixing row e_i. A previous row that does not fit raises ConfigError.
     """
+    own_peak = int(np.abs(state.coeff_row).max(initial=0))
+    if own_peak >= cap_m:
+        raise ConfigError(
+            f"sensor {state.id} holds coefficient {own_peak} >= cap_m={cap_m}: increase cap_m"
+        )
     for msg in inbox:
         if msg.round != state.round:
             raise DimensionError(
@@ -131,11 +140,10 @@ def step_sensor(
         new_aggregate += sign * msg.aggregate
         mix_row[msg.sender] = sign
 
-    peak = int(np.abs(new_row).max(initial=0))
-    if peak >= cap_m:
-        raise ConfigError(
-            f"combination coefficient {peak} >= cap_m={cap_m}: increase cap_m"
-        )
+    if np.abs(new_row).max(initial=0) >= cap_m:
+        new_row, new_aggregate = state.coeff_row, state.aggregate
+        mix_row = np.zeros(n, dtype=np.int64)
+        mix_row[state.id] = 1
     new_state = SensorState(
         id=state.id,
         round=state.round + 1,

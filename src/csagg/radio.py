@@ -14,11 +14,13 @@ Node ids: riders are 0..n-1, sinks are n..n+s-1. Sinks never transmit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .graph import RiderPositions
@@ -31,8 +33,8 @@ class RadioParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.range_m <= 0:
-            raise ConfigError("range_m must be positive")
+        if not 0.0 < self.range_m < math.inf:
+            raise ConfigError(f"range_m={self.range_m} must be positive and finite")
         if not 0.0 <= self.loss_p <= 1.0:
             raise ConfigError("loss_p must be in [0, 1]")
 
@@ -82,11 +84,10 @@ def in_range_links(positions: RiderPositions, sinks: np.ndarray, range_m: float)
     A rider sends to every other rider and every sink at distance <= range_m;
     sinks only receive. Rows are in lexicographic (sender, receiver) order.
     """
-    if range_m <= 0:
-        raise ConfigError("range_m must be positive")
+    if not 0.0 < range_m < math.inf:
+        raise ConfigError(f"range_m={range_m} must be positive and finite")
     pts = np.vstack([positions.pos, np.atleast_2d(np.asarray(sinks, dtype=float))])
-    diff = positions.pos[:, None, :] - pts[None, :, :]
-    in_range = np.sqrt((diff**2).sum(axis=2)) <= range_m
+    in_range = cdist(positions.pos, pts) <= range_m
     np.fill_diagonal(in_range, False)
     return np.argwhere(in_range)
 

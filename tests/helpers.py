@@ -6,7 +6,15 @@ import itertools
 
 import numpy as np
 
-from csagg.graph import RiderPositions
+from csagg.graph import NeighborGraph, RiderPositions
+from csagg.mobility import (
+    FLOCK_ACCEL_CLAMP,
+    LATERAL_HALFWIDTH_M,
+    SEPARATION_RADIUS_M,
+    SPEED_RELAX_PER_S,
+    PelotonParams,
+    RaceTrace,
+)
 from csagg.protocol import initial_state, step_sensor
 from csagg.radio import RadioParams, link_uniforms
 
@@ -197,3 +205,112 @@ def sink_system_reference(
             for i in range(n)
         ))
     return np.array(rows, dtype=np.int64).reshape(-1, n), np.array(values, dtype=float)
+
+
+def flocking_reference(pos: np.ndarray, vel: np.ndarray, params: PelotonParams) -> np.ndarray:
+    """Clamped flocking acceleration with every force a masked (n, n, 2)
+    broadcast sum over neighbours."""
+    n = pos.shape[0]
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    nbr = dist <= params.neighbor_radius
+    counts = nbr.sum(axis=1)
+
+    acc = np.zeros((n, 2))
+    has = counts > 0
+    if np.any(has):
+        centroid = (nbr[:, :, None] * pos[None, :, :]).sum(axis=1)
+        centroid[has] /= counts[has, None]
+        coh = np.zeros((n, 2))
+        coh[has] = params.cohesion_gain * (centroid[has] - pos[has])
+        meanvel = (nbr[:, :, None] * vel[None, :, :]).sum(axis=1)
+        meanvel[has] /= counts[has, None]
+        ali = np.zeros((n, 2))
+        ali[has] = params.alignment_gain * (meanvel[has] - vel[has])
+        acc += coh + ali
+    close = dist < SEPARATION_RADIUS_M
+    if np.any(close):
+        safe = np.maximum(dist, 1e-6)
+        safe[~np.isfinite(safe)] = 1.0
+        weight = np.where(close, SEPARATION_RADIUS_M - dist, 0.0) / (SEPARATION_RADIUS_M * safe)
+        acc += params.separation_gain * (weight[:, :, None] * diff).sum(axis=1)
+    np.clip(acc, -FLOCK_ACCEL_CLAMP, FLOCK_ACCEL_CLAMP, out=acc)
+    return acc
+
+
+def simulate_race_reference(params: PelotonParams) -> RaceTrace:
+    """The peloton simulator stepping with flocking_reference; same random
+    stream as simulate_race."""
+    params.validate()
+    rng = np.random.default_rng(params.seed)
+    n, dt = params.n, params.dt
+    steps = int(round(params.duration / dt))
+    pos = np.empty((n, 2))
+    pos[:, 0] = rng.uniform(0.0, params.init_length, size=n)
+    pos[:, 1] = rng.uniform(-4.0, 4.0, size=n)
+    vel = np.zeros((n, 2))
+    vel[:, 0] = params.speed_at(0.0) + params.speed_jitter * rng.standard_normal(n)
+    boost_until = np.full(n, -1.0)
+
+    frames = [RiderPositions(time=0.0, pos=pos.copy())]
+    for step in range(steps - 1):
+        t = step * dt
+        target = np.full(n, params.speed_at(t))
+        draws = rng.random(n)
+        starting = (draws < params.breakaway_rate * dt) & (boost_until <= t)
+        boost_until[starting] = t + params.breakaway_duration
+        target[boost_until > t] += params.breakaway_boost
+
+        acc = flocking_reference(pos, vel, params)
+        acc[:, 0] += SPEED_RELAX_PER_S * (target - vel[:, 0])
+        vel = vel + dt * acc
+        pos = pos + dt * vel
+        low = pos[:, 1] < -LATERAL_HALFWIDTH_M
+        high = pos[:, 1] > LATERAL_HALFWIDTH_M
+        pos[low, 1] = -LATERAL_HALFWIDTH_M
+        pos[high, 1] = LATERAL_HALFWIDTH_M
+        vel[low | high, 1] = 0.0
+        frames.append(RiderPositions(time=(step + 1) * dt, pos=pos.copy()))
+    return RaceTrace(dt=dt, frames=tuple(frames))
+
+
+def knn_reference(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
+    """k-NN union graph, one stable argsort per rider over a broadcast
+    distance matrix, edges gathered in a set."""
+    n = positions.n
+    p = positions.pos
+    diff = p[:, None, :] - p[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    edges: set[tuple[int, int]] = set()
+    for i in range(n):
+        for j in np.argsort(dist[i], kind="stable")[:k_neighbors]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+    return NeighborGraph(n=n, edges=tuple(sorted(edges)))
+
+
+def components_reference(graph: NeighborGraph) -> list[list[int]]:
+    """Connected components by a depth-first walk from each unseen vertex in
+    index order; each component sorted."""
+    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    for i, j in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * graph.n
+    comps = []
+    for start in range(graph.n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    frontier.append(w)
+        comps.append(sorted(comp))
+    return comps

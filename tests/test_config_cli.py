@@ -77,6 +77,27 @@ _SETTINGS = {
 }
 
 
+def _float_keys():
+    """The keys of config_lines whose values apply_setting reads as floats:
+    they take 0.5 (int and bool keys do not) and refuse a word (text keys
+    take it)."""
+    def takes(key, value):
+        try:
+            apply_setting(ExperimentConfig(), key, value)
+        except ConfigError:
+            return False
+        return True
+
+    keys = [line.split("=", 1)[0] for line in config_lines(ExperimentConfig())]
+    return [key for key in keys if takes(key, "0.5") and not takes(key, "abc")]
+
+
+_NON_FINITE = [
+    *((key, value) for key in _float_keys() for value in ("nan", "inf", "-inf")),
+    *(("base_speed_profile", entry) for entry in ("0:nan", "0:inf", "nan:10", "0:10;-inf:12")),
+]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -235,6 +256,14 @@ class TestCli:
                 "--set", "k_measurements=6"]
         assert main(args) == 2
         assert "seed=-1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key,value", _NON_FINITE)
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        args = ["routing", "--out", str(tmp_path), "--set", "n=12", "--set", "duration_s=5",
+                "--set", "steps=2", "--set", "k_neighbors=4", "--set", f"{key}={value}"]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_missing_config_file(self, capsys):

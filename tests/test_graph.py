@@ -11,6 +11,21 @@ from csagg.graph import (
     knn_graph,
 )
 
+from helpers import components_reference, knn_reference
+
+
+def _positions(data, max_n=40):
+    """Uniform positions, or points on a 4 x 4 integer grid where distance
+    ties are common."""
+    n = data.draw(st.integers(min_value=2, max_value=max_n))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if data.draw(st.booleans()):
+        pos = rng.integers(0, 4, size=(n, 2)).astype(float)
+    else:
+        pos = rng.uniform(0.0, 50.0, size=(n, 2))
+    return RiderPositions(0.0, pos)
+
+
 class TestKnnGraph:
     def test_collinear_points(self):
         pos = RiderPositions(0.0, [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
@@ -66,6 +81,27 @@ class TestKnnGraph:
         rng = np.random.default_rng(4)
         pos = RiderPositions(0.0, rng.uniform(0, 50, size=(30, 2)))
         assert knn_graph(pos, 5).edges == knn_graph(pos, 5).edges
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_knn_edges_match_reference(self, data):
+        pos = _positions(data)
+        k = data.draw(st.integers(min_value=1, max_value=pos.n - 1))
+        assert knn_graph(pos, k).edges == knn_reference(pos, k).edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_components_match_reference(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+        graph = NeighborGraph(n=n, edges=tuple(sorted(edges)))
+        assert connected_components(graph) == components_reference(graph)
+
+    def test_components_without_edges(self):
+        assert connected_components(NeighborGraph(n=3)) == [[0], [1], [2]]
 
 
 class TestNeighborGraph:

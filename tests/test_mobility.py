@@ -2,12 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csagg.errors import ConfigError, DimensionError, TraceFormatError
 from csagg.graph import RiderPositions, knn_graph
 from csagg.mobility import (
     PelotonParams,
     RaceTrace,
+    flocking_acceleration,
     ingest_trace,
     read_velocity_csv,
     simulate_race,
@@ -15,6 +18,8 @@ from csagg.mobility import (
     write_trace_csv,
     write_velocity_csv,
 )
+
+from helpers import flocking_reference, simulate_race_reference
 
 
 def quiet_params(**kw):
@@ -102,6 +107,67 @@ class TestSimulateRace:
             simulate_race(PelotonParams(dt=-1.0))
         with pytest.raises(ConfigError):
             simulate_race(PelotonParams(separation_gain=-1.0))
+        with pytest.raises(ConfigError, match="duration=nan"):
+            simulate_race(PelotonParams(duration=float("nan")))
+        with pytest.raises(ConfigError, match="base_speed_profile"):
+            simulate_race(PelotonParams(base_speed_profile=((0.0, float("inf")),)))
+
+
+class TestSimulateMatchesReference:
+    """The matrix-product flocking step against the broadcast-sum oracle.
+
+    Whole races are compared only where the flock is well conditioned: with
+    separation on in a dense flock, or with alignment or cohesion gains that
+    overshoot in one step, a 1e-16 change in summation order grows to metres
+    within 20 frames in the oracle itself. The forces are compared on their
+    own over dense flocks instead.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        length=st.floats(min_value=1.0, max_value=300.0),
+        offset=st.floats(min_value=0.0, max_value=8000.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        separation_gain=st.floats(min_value=0.0, max_value=5.0),
+        alignment_gain=st.floats(min_value=0.0, max_value=2.0),
+        cohesion_gain=st.floats(min_value=0.0, max_value=1.0),
+        neighbor_radius=st.floats(min_value=0.1, max_value=30.0),
+    )
+    def test_acceleration_matches_reference(self, n, length, offset, seed, **gains):
+        # a column of riders `length` metres long, `offset` metres down the road
+        rng = np.random.default_rng(seed)
+        pos = np.column_stack([offset + rng.uniform(0.0, length, n), rng.uniform(-5.0, 5.0, n)])
+        vel = np.column_stack([10.0 + 3.0 * rng.standard_normal(n), rng.standard_normal(n)])
+        params = PelotonParams(**gains)
+        got = flocking_acceleration(pos, vel, params)
+        assert np.abs(got - flocking_reference(pos, vel, params)).max() <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        frames=st.integers(min_value=2, max_value=20),
+        alignment_gain=st.floats(min_value=0.0, max_value=1.0),
+        cohesion_gain=st.floats(min_value=0.0, max_value=0.1),
+        neighbor_radius=st.floats(min_value=0.1, max_value=30.0),
+        breakaway_rate=st.sampled_from([0.0, 0.0005, 0.05, 0.5]),
+        init_length=st.floats(min_value=1.0, max_value=300.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_frames_match_reference(self, frames, **kw):
+        params = PelotonParams(duration=float(frames), separation_gain=0.0, **kw)
+        self._assert_frames_match(params)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_race_start_matches_reference(self, seed):
+        self._assert_frames_match(PelotonParams(n=130, duration=51.0, seed=seed))
+
+    @staticmethod
+    def _assert_frames_match(params):
+        got, ref = simulate_race(params), simulate_race_reference(params)
+        assert len(got.frames) == len(ref.frames)
+        for a, b in zip(got.frames, ref.frames):
+            assert np.abs(a.pos - b.pos).max() <= 1e-9
 
 
 class TestVelocities:

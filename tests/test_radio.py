@@ -74,8 +74,9 @@ class TestComputeReachability:
         assert delivered(riders(0.0), sinks, RadioParams(range_m=50)) == {(0, 1)}  # sink is node 1
 
     def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            RadioParams(range_m=-1.0)
+        for range_m in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="range_m"):
+                RadioParams(range_m=range_m)
         with pytest.raises(ConfigError):
             RadioParams(loss_p=1.5)
 
@@ -107,8 +108,9 @@ class TestHopDistance:
         assert np.isinf(found[0])
 
     def test_bad_range(self):
-        with pytest.raises(ConfigError):
-            in_range_links(riders(0.0), NO_SINKS, 0.0)
+        for range_m in (0.0, float("nan")):
+            with pytest.raises(ConfigError, match="range_m"):
+                in_range_links(riders(0.0), NO_SINKS, range_m)
 
 
 _ALONG = st.floats(0.0, 400.0)
