@@ -4,7 +4,8 @@ Within one timestep the collection runs L synchronized rounds. In round 1
 every sensor broadcasts its own reading tagged with the unit combination
 row e_i. In later rounds each sensor draws a +/-1 coefficient for every
 message heard in the previous round (always including its own previous
-message), sums the combination rows and aggregates, and broadcasts the
+message), one batch of signs from its own (seed, step, round, sensor)
+random stream, sums the combination rows and aggregates, and broadcasts the
 result; a sum with a coefficient of cap_m or more would not fit the wire, so
 the sensor forwards its previous message instead. Every message a sink
 hears contributes one linear equation aggregate = coeff_row . X to the
@@ -121,24 +122,20 @@ def step_sensor(
     contributors = list(inbox)
     if len(contributors) + 1 > cap_m:
         pick = rng.choice(len(contributors), size=cap_m - 1, replace=False)
-        contributors = [contributors[i] for i in sorted(pick)]
+        contributors = [contributors[i] for i in np.sort(pick).tolist()]
 
     n = state.coeff_row.shape[0]
-    new_row = np.zeros(n, dtype=np.int64)
+    # one draw per term, self first: the same bits as one scalar draw each
+    signs = 2 * rng.integers(0, 2, size=len(contributors) + 1) - 1
+    new_row = signs @ np.array([state.coeff_row] + [msg.coeff_row for msg in contributors])
+    # summed term by term, self first: a pairwise or BLAS sum rounds differently
     new_aggregate = 0.0
+    for sign, aggregate in zip(
+        signs.tolist(), [state.aggregate] + [msg.aggregate for msg in contributors]
+    ):
+        new_aggregate += sign * aggregate
     mix_row = np.zeros(n, dtype=np.int64)
-    own = AggregateMessage(
-        sender=state.id,
-        round=state.round,
-        coeff_row=state.coeff_row,
-        aggregate=state.aggregate,
-        payload_bits=payload_bits(n, cap_m),
-    )
-    for msg in [own] + contributors:
-        sign = 1 if rng.integers(0, 2) == 1 else -1
-        new_row += sign * msg.coeff_row
-        new_aggregate += sign * msg.aggregate
-        mix_row[msg.sender] = sign
+    mix_row[[state.id] + [msg.sender for msg in contributors]] = signs
 
     if np.abs(new_row).max(initial=0) >= cap_m:
         new_row, new_aggregate = state.coeff_row, state.aggregate
@@ -191,9 +188,10 @@ class CollectionResult:
 def _first_equations(rows: np.ndarray, values: np.ndarray) -> Measurement:
     """The equations in order, each exact (row, value) duplicate dropped after
     its first occurrence. Adding 0.0 turns -0.0 into 0.0, so values compare
-    as with ==."""
+    as with ==; each equation is compared as one opaque record of its bytes."""
     key = np.column_stack([rows, (values + 0.0).view(np.int64)])
-    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    records = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
+    first = np.sort(np.unique(records, return_index=True)[1])
     return Measurement(rows[first], values[first])
 
 
@@ -229,8 +227,6 @@ def collect_timestep(
         broadcasts.append(msg)
 
     rows_heard, values_heard = [], []
-    message_count = 0
-    bits_total = 0
     for rnd in range(1, rounds_total + 1):
         rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64)
         aggregates = np.array([msg.aggregate for msg in broadcasts])
@@ -242,8 +238,6 @@ def collect_timestep(
                     f"aggregate drifted from coeff_row . X by {err[bad[0]]:.3e} "
                     f"(sensor {bad[0]}, round {rnd})"
                 )
-        message_count += n
-        bits_total += sum(msg.payload_bits for msg in broadcasts)
         delivered = compute_reachability(links, positions.time, radio, rnd).delivered
         # sinks hear every round; riders' inboxes feed the next one
         heard = np.unique(delivered[delivered[:, 1] >= n, 0])
@@ -251,25 +245,26 @@ def collect_timestep(
         values_heard.append(aggregates[heard])
         if rnd == rounds_total:
             break
-        inboxes: list[list[AggregateMessage]] = [[] for _ in range(n)]
-        for sender, receiver in delivered[delivered[:, 1] < n].tolist():
-            inboxes[receiver].append(broadcasts[sender])
-        next_states = []
-        next_broadcasts = []
-        for i in range(n):
+        # each rider's inbox holds its senders in delivery order
+        to_riders = delivered[delivered[:, 1] < n]
+        by_receiver = to_riders[np.argsort(to_riders[:, 1], kind="stable"), 0]
+        starts = np.cumsum(np.bincount(to_riders[:, 1], minlength=n))[:-1]
+        next_states, next_broadcasts = [], []
+        for i, senders in enumerate(np.split(by_receiver, starts)):
             rng = np.random.default_rng(
                 np.random.SeedSequence((radio.seed, step_index, rnd, i))
             )
-            state, msg = step_sensor(states[i], inboxes[i], rng, cap_m)
+            inbox = [broadcasts[s] for s in senders.tolist()]
+            state, msg = step_sensor(states[i], inbox, rng, cap_m)
             next_states.append(state)
             next_broadcasts.append(msg)
         states, broadcasts = next_states, next_broadcasts
 
-    mean_bits = bits_total / message_count if message_count else 0.0
+    # every sensor sends one message of payload_bits(n, cap_m) per round
     return CollectionResult(
         system=_first_equations(np.vstack(rows_heard), np.concatenate(values_heard)),
         rounds_used=rounds_total,
         uncoverable=uncoverable,
-        message_count=message_count,
-        mean_payload_bits=mean_bits,
+        message_count=n * rounds_total,
+        mean_payload_bits=float(payload_bits(n, cap_m)),
     )

@@ -15,7 +15,8 @@ from csagg.mobility import (
     PelotonParams,
     RaceTrace,
 )
-from csagg.protocol import initial_state, step_sensor
+from csagg.errors import ConfigError, DimensionError
+from csagg.protocol import AggregateMessage, SensorState, initial_state, payload_bits
 from csagg.radio import RadioParams, link_uniforms
 
 
@@ -160,6 +161,67 @@ def hops_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarr
     return hops[:n]
 
 
+def step_sensor_reference(
+    state: SensorState,
+    inbox: list[AggregateMessage],
+    rng: np.random.Generator,
+    cap_m: int,
+) -> tuple[SensorState, AggregateMessage]:
+    """protocol.step_sensor one contributor at a time: a scalar sign draw
+    per term (self first), the row and aggregate summed term by term."""
+    own_peak = int(np.abs(state.coeff_row).max(initial=0))
+    if own_peak >= cap_m:
+        raise ConfigError(
+            f"sensor {state.id} holds coefficient {own_peak} >= cap_m={cap_m}: increase cap_m"
+        )
+    for msg in inbox:
+        if msg.round != state.round:
+            raise DimensionError(
+                f"inbox message from round {msg.round}, sensor is at round {state.round}"
+            )
+    contributors = list(inbox)
+    if len(contributors) + 1 > cap_m:
+        pick = rng.choice(len(contributors), size=cap_m - 1, replace=False)
+        contributors = [contributors[i] for i in sorted(pick)]
+
+    n = state.coeff_row.shape[0]
+    new_row = np.zeros(n, dtype=np.int64)
+    new_aggregate = 0.0
+    mix_row = np.zeros(n, dtype=np.int64)
+    own = AggregateMessage(
+        sender=state.id,
+        round=state.round,
+        coeff_row=state.coeff_row,
+        aggregate=state.aggregate,
+        payload_bits=payload_bits(n, cap_m),
+    )
+    for msg in [own] + contributors:
+        sign = 1 if rng.integers(0, 2) == 1 else -1
+        new_row += sign * msg.coeff_row
+        new_aggregate += sign * msg.aggregate
+        mix_row[msg.sender] = sign
+
+    if np.abs(new_row).max(initial=0) >= cap_m:
+        new_row, new_aggregate = state.coeff_row, state.aggregate
+        mix_row = np.zeros(n, dtype=np.int64)
+        mix_row[state.id] = 1
+    new_state = SensorState(
+        id=state.id,
+        round=state.round + 1,
+        coeff_row=new_row,
+        aggregate=new_aggregate,
+        mix_rows=state.mix_rows + (mix_row,),
+    )
+    out = AggregateMessage(
+        sender=state.id,
+        round=state.round + 1,
+        coeff_row=new_row,
+        aggregate=new_aggregate,
+        payload_bits=payload_bits(n, cap_m),
+    )
+    return new_state, out
+
+
 def sink_system_reference(
     readings: np.ndarray,
     positions: RiderPositions,
@@ -174,8 +236,8 @@ def sink_system_reference(
     above. Each round walks the delivered (sender, receiver) pairs in sorted
     order: a rider's inbox takes the message, and a sink appends its
     equation unless the same (row, value) pair is already in the system.
-    Sensors then advance with step_sensor under the protocol's seed
-    (seed, step, round, sensor).
+    Sensors then advance with step_sensor_reference under the protocol's
+    seed (seed, step, round, sensor).
     """
     n = positions.n
     hops = hops_reference(positions, sinks, params.range_m)
@@ -196,7 +258,7 @@ def sink_system_reference(
         if rnd == rounds:
             break
         states, msgs = zip(*(
-            step_sensor(
+            step_sensor_reference(
                 states[i],
                 inboxes[i],
                 np.random.default_rng(np.random.SeedSequence((params.seed, step_index, rnd, i))),

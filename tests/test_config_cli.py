@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csagg
 from csagg import experiments
 from csagg.cli import main
 from csagg.config import (
@@ -219,6 +222,15 @@ class TestCli:
         assert main(["simulate", "--out", str(tmp_path)] + FAST) == 0
         trace = (tmp_path / "trace.csv").read_text()
         assert trace.startswith("time_s,rider_id,s_m,d_m")
+
+    def test_module_runs_without_install(self):
+        # python -m csagg from the source tree, as the README shows
+        env = {**os.environ, "PYTHONPATH": str(Path(csagg.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "csagg", "--help"], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: csagg" in done.stdout
 
     def test_matrix_scenario(self, tmp_path):
         assert main(["matrix", "--out", str(tmp_path)] + FAST) == 0
