@@ -4,7 +4,7 @@ routing, and the lost-data DCT demonstration."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,9 +28,16 @@ class RunResult:
 
 
 def load_race(cfg: ExperimentConfig) -> RaceTrace:
+    """The ingested trace, or the simulated race up to the last frame a run
+    of cfg.steps steps reads. Step i reads frames i and i+1, so `steps` steps
+    need steps + 1 frames; the simulator draws its random numbers frame by
+    frame, so a shorter race is exactly the start of the full one."""
     if cfg.trace_path:
         return ingest_trace(cfg.trace_path, cfg.peloton.dt)
-    return simulate_race(cfg.peloton)
+    peloton = cfg.peloton
+    if cfg.steps > 0:
+        peloton = replace(peloton, duration=min(peloton.duration, (cfg.steps + 1) * peloton.dt))
+    return simulate_race(peloton)
 
 
 class _GraphTracker:

@@ -59,11 +59,16 @@ def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
     dist = cdist(positions.pos, positions.pos)
     np.fill_diagonal(dist, np.inf)
-    # stable sort on distance keeps lower indices first among ties
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
-    pairs = np.column_stack([np.repeat(np.arange(n), k_neighbors), nearest.ravel()])
-    edges = np.unique(np.sort(pairs, axis=1), axis=0)
-    return NeighborGraph(n=n, edges=tuple(map(tuple, edges.tolist())))
+    # each rider keeps everything nearer than its k-th distance, then the
+    # lowest-index riders at exactly that distance until it has k
+    kth = np.partition(dist, k_neighbors - 1, axis=1)[:, k_neighbors - 1 : k_neighbors]
+    nearer = dist < kth
+    tied = dist == kth
+    room = k_neighbors - nearer.sum(axis=1, keepdims=True)
+    rows, cols = np.nonzero(nearer | (tied & (np.cumsum(tied, axis=1) <= room)))
+    # each undirected pair once, as one key min * n + max in sorted order
+    keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    return NeighborGraph(n=n, edges=tuple(zip((keys // n).tolist(), (keys % n).tolist())))
 
 
 def connected_components(graph: NeighborGraph) -> list[list[int]]:

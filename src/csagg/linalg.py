@@ -24,6 +24,8 @@ from scipy.optimize import linprog
 from .errors import DimensionError, NumericalError, RankDeficientError
 
 DEFAULT_FEAS_TOL = 1e-8
+# a pivoted-QR diagonal entry counts towards the rank above this times max|entry|
+RANK_RTOL = 1e-9
 
 
 class LpStatus(Enum):
@@ -151,7 +153,8 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
 
 
 def least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """argmin ||a x - y||_2 via Householder QR; requires full column rank."""
+    """argmin ||a x - y||_2 via one column-pivoted Householder QR; requires
+    full column rank under rank's rule (|r_jj| > RANK_RTOL * max|entry|)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     y = np.asarray(y, dtype=float)
     m, n = a.shape
@@ -159,19 +162,21 @@ def least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"rhs has length {y.shape}, expected ({m},)")
     if m < n:
         raise RankDeficientError(f"system is underdetermined: {m} rows, {n} cols")
-    if rank(a) < n:
+    q, r, perm = _pivoted_qr(a, mode="economic", pivoting=True)
+    if np.count_nonzero(np.abs(np.diag(r)) > RANK_RTOL * float(np.max(np.abs(a), initial=0.0))) < n:
         raise RankDeficientError("matrix is numerically rank-deficient")
-    q, r = np.linalg.qr(a)
-    return solve_triangular(r, q.T @ y)
+    x = np.empty(n)
+    x[perm] = solve_triangular(r, q.T @ y)
+    return x
 
 
 def rank(a: np.ndarray, tol: float | None = None) -> int:
-    """Numerical rank via column-pivoted QR; default tol = 1e-9 * max|entry|."""
+    """Numerical rank via column-pivoted QR; default tol = RANK_RTOL * max|entry|."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
     if tol is None:
-        tol = 1e-9 * float(np.max(np.abs(a)))
+        tol = RANK_RTOL * float(np.max(np.abs(a)))
     elif tol <= 0:
         raise ValueError("tol must be positive")
     if np.max(np.abs(a)) == 0.0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -269,13 +269,6 @@ def write_trace_csv(trace: RaceTrace, out: IO[str]) -> None:
         for rider in range(trace.n):
             s, d = frame.pos[rider]
             out.write(f"{frame.time:.3f},{rider},{float(s)!r},{float(d)!r}\n")
-
-
-def write_velocity_csv(frames: Sequence[VelocityFrame], out: IO[str]) -> None:
-    out.write("time_s,rider_id,v_mps\n")
-    for frame in frames:
-        for rider, v in enumerate(frame.x):
-            out.write(f"{frame.time:.3f},{rider},{float(v)!r}\n")
 
 
 def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:

@@ -10,7 +10,8 @@ result; a sum with a coefficient of cap_m or more would not fit the wire, so
 the sensor forwards its previous message instead. Every message a sink
 hears contributes one linear equation aggregate = coeff_row . X to the
 sink-side system, a sparsity.Measurement whose rows come one block per
-round, in sender order, with exact duplicate equations dropped.
+round, in sender order, with exact duplicate equations dropped. A
+last-round message that no sink hears is never computed.
 
 Combination rows are kept in exact integer arithmetic so the round-L rows
 equal the product of the per-round mixing matrices entry for entry.
@@ -158,16 +159,14 @@ def step_sensor(
     return new_state, out
 
 
-def reconstruct(
-    system: Measurement, graph: NeighborGraph, feas_tol: float = 1e-8
-) -> tuple[np.ndarray, str]:
+def reconstruct(system: Measurement, graph: NeighborGraph) -> tuple[np.ndarray, str]:
     """Solve the sink system: least squares when full rank, pairwise-L1 LP otherwise."""
     if system.k == 0:
         raise DimensionError("cannot reconstruct from an empty system")
     if rank(system.rows) == system.n:
         return least_squares(system.rows, system.values), "determined"
     problem = build_pairwise_l1(system, graph.edges)
-    sol = solve_lp(problem, feas_tol=feas_tol)
+    sol = solve_lp(problem)
     if sol.status is not LpStatus.OPTIMAL:
         raise NumericalError(
             f"CS linear program came back {sol.status.value}; "
@@ -207,9 +206,12 @@ def collect_timestep(
     """Run one timestep's L rounds of broadcast, aggregation and sink collection.
 
     The sink system holds every broadcast a sink hears, by round and then by
-    sender, without exact duplicates. check_aggregates, when set, asserts
+    sender, without exact duplicates. A round-L message that no sink hears
+    is never read, so the last round computes only the messages of the
+    senders a sink hears; the other sensors' random streams are their own,
+    so this changes no equation. check_aggregates, when set, asserts
     aggregate == coeff_row . readings within that tolerance for every
-    emitted message (debug hook).
+    computed message (debug hook); an error names the sensor and round.
     """
     readings = np.asarray(readings, dtype=float)
     n = positions.n
@@ -218,6 +220,12 @@ def collect_timestep(
     links = in_range_links(positions, sinks, radio.range_m)
     hops = hop_distance_to_sinks(links, n)
     rounds_total, uncoverable = plan_rounds(hops)
+    deliveries = [
+        compute_reachability(links, positions.time, radio, rnd).delivered
+        for rnd in range(1, rounds_total + 1)
+    ]
+    # the senders each round's sinks hear
+    heard = [np.unique(d[d[:, 1] >= n, 0]) for d in deliveries]
 
     states = []
     broadcasts = []
@@ -225,40 +233,41 @@ def collect_timestep(
         state, msg = initial_state(i, n, readings[i], cap_m)
         states.append(state)
         broadcasts.append(msg)
+    senders = np.arange(n)  # the sensor behind each entry of broadcasts
 
     rows_heard, values_heard = [], []
     for rnd in range(1, rounds_total + 1):
-        rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64)
-        aggregates = np.array([msg.aggregate for msg in broadcasts])
+        if rnd > 1:
+            # each rider's inbox holds last round's senders in delivery order
+            prev = deliveries[rnd - 2]
+            to_riders = prev[prev[:, 1] < n]
+            by_receiver = to_riders[np.argsort(to_riders[:, 1], kind="stable"), 0]
+            starts = np.cumsum(np.bincount(to_riders[:, 1], minlength=n))[:-1]
+            inboxes = np.split(by_receiver, starts)
+            senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
+            next_states, next_broadcasts = [], []
+            for i in senders.tolist():
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((radio.seed, step_index, rnd - 1, i))
+                )
+                inbox = [broadcasts[s] for s in inboxes[i].tolist()]
+                state, msg = step_sensor(states[i], inbox, rng, cap_m)
+                next_states.append(state)
+                next_broadcasts.append(msg)
+            states, broadcasts = next_states, next_broadcasts
+        rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64).reshape(-1, n)
+        aggregates = np.array([msg.aggregate for msg in broadcasts], dtype=float)
         if check_aggregates is not None:
             err = np.abs(aggregates - rows @ readings)
             bad = np.flatnonzero(err > check_aggregates)
             if bad.size:
                 raise NumericalError(
                     f"aggregate drifted from coeff_row . X by {err[bad[0]]:.3e} "
-                    f"(sensor {bad[0]}, round {rnd})"
+                    f"(sensor {senders[bad[0]]}, round {rnd})"
                 )
-        delivered = compute_reachability(links, positions.time, radio, rnd).delivered
-        # sinks hear every round; riders' inboxes feed the next one
-        heard = np.unique(delivered[delivered[:, 1] >= n, 0])
-        rows_heard.append(rows[heard])
-        values_heard.append(aggregates[heard])
-        if rnd == rounds_total:
-            break
-        # each rider's inbox holds its senders in delivery order
-        to_riders = delivered[delivered[:, 1] < n]
-        by_receiver = to_riders[np.argsort(to_riders[:, 1], kind="stable"), 0]
-        starts = np.cumsum(np.bincount(to_riders[:, 1], minlength=n))[:-1]
-        next_states, next_broadcasts = [], []
-        for i, senders in enumerate(np.split(by_receiver, starts)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((radio.seed, step_index, rnd, i))
-            )
-            inbox = [broadcasts[s] for s in senders.tolist()]
-            state, msg = step_sensor(states[i], inbox, rng, cap_m)
-            next_states.append(state)
-            next_broadcasts.append(msg)
-        states, broadcasts = next_states, next_broadcasts
+        pick = np.searchsorted(senders, heard[rnd - 1])
+        rows_heard.append(rows[pick])
+        values_heard.append(aggregates[pick])
 
     # every sensor sends one message of payload_bits(n, cap_m) per round
     return CollectionResult(

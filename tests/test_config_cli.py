@@ -407,6 +407,46 @@ class TestCli:
         assert reports[0].stress == 1.0  # zeros before the first estimate
         assert reports[2].stress == stress(vels[2].x, estimates[0][0])
 
+    # a simulated race is cut after the steps + 1 frames a run reads
+    _RACE = ["n=20", "k_neighbors=4", "k_measurements=10", "init_length_m=60",
+             "seed=3", "breakaway_rate=0.05"]
+
+    def _recorded_run(self, monkeypatch, overrides):
+        """The report lines of one run and the frame count of each race it simulated."""
+        frames = []
+
+        def recording(params):
+            trace = simulate_race(params)
+            frames.append(len(trace.frames))
+            return trace
+
+        monkeypatch.setattr(experiments, "simulate_race", recording)
+        cfg = load_config(None, overrides)
+        run = experiments.run_matrix if cfg.scenario == "matrix" else experiments.run_routing
+        return Path(run(cfg).report_path).read_text().splitlines(), frames
+
+    @pytest.mark.parametrize(
+        "scenario, steps, dt",
+        [("matrix", 1, "1"), ("matrix", 7, "0.5"), ("routing", 6, "1"), ("routing", 3, "0.25")],
+    )
+    def test_steps_simulate_only_the_frames_they_read(self, tmp_path, monkeypatch, scenario, steps, dt):
+        base = [f"scenario={scenario}", *self._RACE, f"steps={steps}", f"dt_s={dt}", f"out={tmp_path}"]
+        whole, whole_frames = self._recorded_run(monkeypatch, base)  # duration_s=780
+        cut, cut_frames = self._recorded_run(monkeypatch, base + [f"duration_s={(steps + 1) * float(dt)!r}"])
+        assert whole_frames == cut_frames == [steps + 1]
+        assert len(whole) == len(cut)
+        differ = [(a, b) for a, b in zip(whole, cut) if a != b]
+        assert [a for a, _ in differ] == ["# duration_s=780"]
+
+    @pytest.mark.parametrize("steps", [0, 29, 500])
+    def test_whole_race_when_steps_reach_its_end(self, tmp_path, monkeypatch, steps):
+        lines, frames = self._recorded_run(
+            monkeypatch,
+            ["scenario=matrix", *self._RACE, "duration_s=30", f"steps={steps}", f"out={tmp_path}"],
+        )
+        assert frames == [30]
+        assert sum(1 for line in lines if line[:1].isdigit()) == 29
+
     def test_sweep_rejects_simulate(self, tmp_path):
         args = ["sweep", "seed=1,2", "--set", "scenario=simulate", "--out", str(tmp_path / "s")]
         assert main(args + FAST) == 2

@@ -193,6 +193,25 @@ class TestLeastSquares:
         with pytest.raises(RankDeficientError):
             least_squares(np.ones((1, 2)), np.ones(1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_lstsq_and_rank(self, data):
+        # small signed integer entries hit exact rank deficiency; scaled
+        # columns make the pivoting order differ from the column order
+        n = data.draw(st.integers(1, 8), label="n")
+        m = data.draw(st.integers(n, 12), label="m")
+        entries = st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n)
+        scale = np.array(data.draw(st.lists(st.sampled_from([1e-3, 1.0, 7.0]), min_size=n, max_size=n)))
+        a = np.array(data.draw(entries, label="a"), dtype=float).reshape(m, n) * scale
+        y = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=m, max_size=m), label="y"))
+        if rank(a) < n:
+            with pytest.raises(RankDeficientError):
+                least_squares(a, y)
+            return
+        x = least_squares(a, y)
+        ref = np.linalg.lstsq(a, y, rcond=None)[0]
+        assert np.abs(x - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+
 
 class TestRank:
     def test_identity(self):

@@ -21,7 +21,7 @@ from csagg.protocol import (
     reconstruct,
     step_sensor,
 )
-from csagg.radio import RadioParams, place_sinks
+from csagg.radio import RadioParams, compute_reachability, in_range_links, place_sinks
 from csagg.sparsity import Measurement
 from helpers import sink_system_reference, step_sensor_reference
 
@@ -373,6 +373,60 @@ class TestCollectTimestep:
         readings, pos, sinks, radio = self._scenario()
         collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-5)
         with pytest.raises(NumericalError, match=r"sensor 5, round 2"):
+            collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+
+    def _last_round_heard(self, pos, sinks, radio, rounds):
+        links = in_range_links(pos, sinks, radio.range_m)
+        delivered = compute_reachability(links, pos.time, radio, rounds).delivered
+        return np.unique(delivered[delivered[:, 1] >= pos.n, 0]).tolist()
+
+    def _recording_steps(self, monkeypatch):
+        calls = []
+
+        def recording(state, inbox, rng, cap_m):
+            calls.append((state.round + 1, state.id))
+            return step_sensor(state, inbox, rng, cap_m)
+
+        monkeypatch.setattr(protocol, "step_sensor", recording)
+        return calls
+
+    def test_last_round_steps_only_senders_a_sink_hears(self, monkeypatch):
+        calls = self._recording_steps(monkeypatch)
+        readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=5)
+        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+        last = result.rounds_used
+        heard = self._last_round_heard(pos, sinks, radio, last)
+        assert 0 < len(heard) < 40
+        for rnd in range(2, last):
+            assert [i for r, i in calls if r == rnd] == list(range(40))
+        assert [i for r, i in calls if r == last] == heard
+
+    @pytest.mark.parametrize("sinks", [np.zeros((0, 2)), np.array([[1e4, 0.0], [-1e4, 0.0]])])
+    def test_no_sink_hears_anyone(self, monkeypatch, sinks):
+        calls = self._recording_steps(monkeypatch)
+        readings, pos, _, radio = self._scenario()
+        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+        assert result.system.k == 0
+        assert result.system.rows.shape == (0, 40)
+        assert len(result.uncoverable) == 40
+        assert result.rounds_used == 3
+        assert {r for r, _ in calls} == {2}
+
+    def test_check_aggregates_names_a_last_round_sensor(self, monkeypatch):
+        # the last round computes only the heard senders; the error still
+        # names the sensor id, not its place among them
+        readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=5)
+        last = collect_timestep(readings, pos, sinks, radio).rounds_used
+        culprit = self._last_round_heard(pos, sinks, radio, last)[-1]
+
+        def drifting(state, inbox, rng, cap_m):
+            new_state, msg = step_sensor(state, inbox, rng, cap_m)
+            if state.id == culprit and msg.round == last:
+                msg = AggregateMessage(msg.sender, msg.round, msg.coeff_row, msg.aggregate + 1e-6, msg.payload_bits)
+            return new_state, msg
+
+        monkeypatch.setattr(protocol, "step_sensor", drifting)
+        with pytest.raises(NumericalError, match=rf"sensor {culprit}, round {last}\)"):
             collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
 
     @settings(max_examples=150, deadline=None)
