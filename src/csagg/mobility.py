@@ -202,12 +202,18 @@ def velocities(trace: RaceTrace) -> list[VelocityFrame]:
     return out
 
 
+def _require_finite(lineno: int, **fields: float) -> None:
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise TraceFormatError(f"line {lineno}: non-finite {name} {value}")
+
+
 def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
     """Read a position CSV (`time_s,rider_id,s_m,d_m`) into a RaceTrace.
 
     Riders are indexed by first appearance; timestamps must form a complete
-    grid spaced by dt. Malformed rows, duplicate cells and grid gaps raise
-    TraceFormatError naming the offending line.
+    grid spaced by dt. Malformed rows, non-finite numbers, duplicate cells
+    and grid gaps raise TraceFormatError naming the offending line.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -233,6 +239,7 @@ def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
             d = float(row[3])
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        _require_finite(lineno, time_s=t, s_m=s, d_m=d)
         if rider < 0:
             raise TraceFormatError(f"line {lineno}: negative rider_id {rider}")
         key = (t, rider)
@@ -273,7 +280,8 @@ def write_trace_csv(trace: RaceTrace, out: IO[str]) -> None:
 
 def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:
     """Read the `time_s,rider_id,v_mps` schema as {time: {rider_id: v}};
-    a repeated (time, rider) cell raises TraceFormatError."""
+    a non-finite number or a repeated (time, rider) cell raises
+    TraceFormatError naming the line."""
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
             return read_velocity_csv(fh)
@@ -291,6 +299,7 @@ def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:
             t, rider, v = float(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        _require_finite(lineno, time_s=t, v_mps=v)
         by_rider = data.setdefault(t, {})
         if rider in by_rider:
             raise TraceFormatError(f"line {lineno}: duplicate cell (t={t}, rider={rider})")

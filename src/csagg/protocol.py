@@ -4,14 +4,23 @@ Within one timestep the collection runs L synchronized rounds. In round 1
 every sensor broadcasts its own reading tagged with the unit combination
 row e_i. In later rounds each sensor draws a +/-1 coefficient for every
 message heard in the previous round (always including its own previous
-message), one batch of signs from its own (seed, step, round, sensor)
-random stream, sums the combination rows and aggregates, and broadcasts the
+message), sums the combination rows and aggregates, and broadcasts the
 result; a sum with a coefficient of cap_m or more would not fit the wire, so
-the sensor forwards its previous message instead. Every message a sink
-hears contributes one linear equation aggregate = coeff_row . X to the
-sink-side system, a sparsity.Measurement whose rows come one block per
-round, in sender order, with exact duplicate equations dropped. A
-last-round message that no sink hears is never computed.
+the sensor forwards its previous message instead. A sensor with more than
+cap_m - 1 messages in its inbox combines a uniform subsample of cap_m - 1.
+
+The random draws are counter-based: draw j of sensor i in round r of step t
+is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j) turned into a
+uniform in [0, 1), so a sensor's draws depend on nothing but that key. Each
+round hashes one block per stepped sensor in a single array call; a block
+holds the subsample's uniforms (only when the inbox overflows the cap),
+then one uniform per sign, self first and the inbox in sender order.
+
+Every message a sink hears contributes one linear equation
+aggregate = coeff_row . X to the sink-side system, a sparsity.Measurement
+whose rows come one block per round, in sender order, with exact duplicate
+equations dropped. A last-round message that no sink hears is never
+computed.
 
 Combination rows are kept in exact integer arithmetic so the round-L rows
 equal the product of the per-round mixing matrices entry for entry.
@@ -30,6 +39,7 @@ from .linalg import LpStatus, least_squares, rank, solve_lp
 from .radio import (
     RadioParams,
     RiderPositions,
+    _splitmix64,
     compute_reachability,
     hop_distance_to_sinks,
     in_range_links,
@@ -39,6 +49,9 @@ from .sparsity import Measurement, build_pairwise_l1, decode_solution
 MIN_ROUNDS = 3
 DEFAULT_CAP = 32
 AGGREGATE_BITS = 64  # a real number on the wire
+# first key of every protocol draw chain; a radio.link_uniforms chain starts
+# from the seed, so the two never hash the same key sequence
+DRAW_TAG = int.from_bytes(b"protocol", "big")
 
 
 def payload_bits(n: int, cap_m: int) -> int:
@@ -82,6 +95,54 @@ def initial_state(sensor_id: int, n: int, reading: float, cap_m: int = DEFAULT_C
     return state, msg
 
 
+def sensor_uniforms(
+    seed: int, step_index: int, round_index: int, sensors: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """counts[k] uniforms in [0, 1) for each sensors[k], concatenated in order.
+
+    Draw j of sensor i is the splitmix64 chain of (DRAW_TAG, seed,
+    step_index, round_index, i, j), independent of the other sensors asked
+    for and of their order.
+    """
+    key = _splitmix64(np.uint64(DRAW_TAG))
+    for part in (seed & 0xFFFFFFFFFFFFFFFF, step_index, round_index):
+        key = _splitmix64(key ^ np.uint64(part))
+    per_sensor = _splitmix64(key ^ np.asarray(sensors).astype(np.uint64))
+    counts = np.asarray(counts, dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    draw = np.arange(counts.sum()) - np.repeat(first, counts)
+    z = _splitmix64(np.repeat(per_sensor, counts) ^ draw.astype(np.uint64))
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+class SensorDraws:
+    """One sensor's block of uniforms behind the two Generator methods that
+    step_sensor calls. A draw past the end of the block raises IndexError."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self._uniforms = uniforms
+        self._next = 0
+
+    def _take(self, count: int) -> np.ndarray:
+        end = self._next + count
+        if end > len(self._uniforms):
+            raise IndexError(f"draw {end} from a block of {len(self._uniforms)} uniforms")
+        taken = self._uniforms[self._next : end]
+        self._next = end
+        return taken
+
+    def choice(self, a: int, size: int, replace: bool = False) -> np.ndarray:
+        """Positions of the size smallest of the next a uniforms, ties to the
+        earlier one: a uniform subsample of range(a) without replacement."""
+        if replace:
+            raise ValueError("a block subsamples without replacement only")
+        return np.argsort(self._take(a), kind="stable")[:size]
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        """floor(low + u * (high - low)) for each of the next size uniforms u."""
+        return np.floor(low + self._take(size) * (high - low)).astype(np.int64)
+
+
 def plan_rounds(hops: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Rounds needed so every covered sensor reaches a sink: max(3, max hop).
 
@@ -98,17 +159,19 @@ def plan_rounds(hops: np.ndarray) -> tuple[int, tuple[int, ...]]:
 def step_sensor(
     state: SensorState,
     inbox: list[AggregateMessage],
-    rng: np.random.Generator,
+    rng: np.random.Generator | SensorDraws,
     cap_m: int = DEFAULT_CAP,
 ) -> tuple[SensorState, AggregateMessage]:
     """Advance one sensor by one round: random +/-1 combination of the inbox.
 
     The sensor's own previous message always contributes; if the inbox pushes
     the contributor count above cap_m, a uniform subsample of the inbox is
-    combined instead (self always kept). A combination with a coefficient of
-    cap_m or more would not fit its ceil(log2 cap_m)-bit slot: it is not
-    sent, and the sensor forwards its previous row and aggregate instead, with
-    mixing row e_i. A previous row that does not fit raises ConfigError.
+    combined instead (self always kept). rng draws the subsample with one
+    choice call, then every sign, self first, with one integers call. A
+    combination with a coefficient of cap_m or more would not fit its
+    ceil(log2 cap_m)-bit slot: it is not sent, and the sensor forwards its
+    previous row and aggregate instead, with mixing row e_i. A previous row
+    that does not fit raises ConfigError.
     """
     own_peak = int(np.abs(state.coeff_row).max(initial=0))
     if own_peak >= cap_m:
@@ -120,28 +183,27 @@ def step_sensor(
             raise DimensionError(
                 f"inbox message from round {msg.round}, sensor is at round {state.round}"
             )
-    contributors = list(inbox)
-    if len(contributors) + 1 > cap_m:
-        pick = rng.choice(len(contributors), size=cap_m - 1, replace=False)
-        contributors = [contributors[i] for i in np.sort(pick).tolist()]
+    contributors = inbox
+    if len(inbox) + 1 > cap_m:
+        pick = rng.choice(len(inbox), size=cap_m - 1, replace=False)
+        contributors = [inbox[i] for i in np.sort(pick).tolist()]
 
     n = state.coeff_row.shape[0]
-    # one draw per term, self first: the same bits as one scalar draw each
+    # one draw per term, self first
     signs = 2 * rng.integers(0, 2, size=len(contributors) + 1) - 1
-    new_row = signs @ np.array([state.coeff_row] + [msg.coeff_row for msg in contributors])
-    # summed term by term, self first: a pairwise or BLAS sum rounds differently
-    new_aggregate = 0.0
-    for sign, aggregate in zip(
-        signs.tolist(), [state.aggregate] + [msg.aggregate for msg in contributors]
-    ):
-        new_aggregate += sign * aggregate
+    new_row = signs @ np.array([state.coeff_row, *[msg.coeff_row for msg in contributors]])
     mix_row = np.zeros(n, dtype=np.int64)
-    mix_row[[state.id] + [msg.sender for msg in contributors]] = signs
-
     if np.abs(new_row).max(initial=0) >= cap_m:
         new_row, new_aggregate = state.coeff_row, state.aggregate
-        mix_row = np.zeros(n, dtype=np.int64)
         mix_row[state.id] = 1
+    else:
+        # summed term by term, self first: a pairwise or BLAS sum rounds differently
+        new_aggregate = 0.0
+        for sign, aggregate in zip(
+            signs.tolist(), [state.aggregate, *[msg.aggregate for msg in contributors]]
+        ):
+            new_aggregate += sign * aggregate
+        mix_row[[state.id, *[msg.sender for msg in contributors]]] = signs
     new_state = SensorState(
         id=state.id,
         round=state.round + 1,
@@ -208,8 +270,8 @@ def collect_timestep(
     The sink system holds every broadcast a sink hears, by round and then by
     sender, without exact duplicates. A round-L message that no sink hears
     is never read, so the last round computes only the messages of the
-    senders a sink hears; the other sensors' random streams are their own,
-    so this changes no equation. check_aggregates, when set, asserts
+    senders a sink hears; a sensor's draws are keyed by its id alone, so
+    this changes no equation. check_aggregates, when set, asserts
     aggregate == coeff_row . readings within that tolerance for every
     computed message (debug hook); an error names the sensor and round.
     """
@@ -226,6 +288,13 @@ def collect_timestep(
     ]
     # the senders each round's sinks hear
     heard = [np.unique(d[d[:, 1] >= n, 0]) for d in deliveries]
+    # every round delivers a subset of the links in the links' order, so the
+    # rider-to-rider links, sorted by receiver once and stably, give each
+    # round's inboxes (senders in delivery order) as a mask
+    width = int(links.max(initial=0)) + 1
+    link_keys = links[:, 0] * width + links[:, 1]
+    by_receiver = np.argsort(links[:, 1], kind="stable")
+    to_riders = by_receiver[links[by_receiver, 1] < n]
 
     states = []
     broadcasts = []
@@ -238,20 +307,25 @@ def collect_timestep(
     rows_heard, values_heard = [], []
     for rnd in range(1, rounds_total + 1):
         if rnd > 1:
-            # each rider's inbox holds last round's senders in delivery order
             prev = deliveries[rnd - 2]
-            to_riders = prev[prev[:, 1] < n]
-            by_receiver = to_riders[np.argsort(to_riders[:, 1], kind="stable"), 0]
-            starts = np.cumsum(np.bincount(to_riders[:, 1], minlength=n))[:-1]
-            inboxes = np.split(by_receiver, starts)
+            delivered = np.zeros(len(links), dtype=bool)
+            delivered[np.searchsorted(link_keys, prev[:, 0] * width + prev[:, 1])] = True
+            inbox_links = to_riders[delivered[to_riders]]
+            sizes = np.bincount(links[inbox_links, 1], minlength=n)
+            inbox_bounds = [0, *np.cumsum(sizes).tolist()]
+            inbox_msgs = [broadcasts[s] for s in links[inbox_links, 0].tolist()]
             senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
+            # a block holds exactly the uniforms step_sensor draws: a
+            # subsample of an inbox over the cap, then one sign per term
+            m = sizes[senders]
+            counts = np.where(m + 1 > cap_m, m, 0) + np.minimum(m, cap_m - 1) + 1
+            uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, counts)
+            block_bounds = [0, *np.cumsum(counts).tolist()]
             next_states, next_broadcasts = [], []
-            for i in senders.tolist():
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((radio.seed, step_index, rnd - 1, i))
-                )
-                inbox = [broadcasts[s] for s in inboxes[i].tolist()]
-                state, msg = step_sensor(states[i], inbox, rng, cap_m)
+            for k, i in enumerate(senders.tolist()):
+                draws = SensorDraws(uniforms[block_bounds[k] : block_bounds[k + 1]])
+                inbox = inbox_msgs[inbox_bounds[i] : inbox_bounds[i + 1]]
+                state, msg = step_sensor(states[i], inbox, draws, cap_m)
                 next_states.append(state)
                 next_broadcasts.append(msg)
             states, broadcasts = next_states, next_broadcasts

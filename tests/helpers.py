@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from csagg.mobility import (
     RaceTrace,
 )
 from csagg.errors import ConfigError, DimensionError
-from csagg.protocol import AggregateMessage, SensorState, initial_state, payload_bits
+from csagg.protocol import DRAW_TAG, AggregateMessage, SensorState, initial_state, payload_bits
 from csagg.radio import RadioParams, link_uniforms
 
 
@@ -161,10 +162,48 @@ def hops_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarr
     return hops[:n]
 
 
+_MASK64 = 2**64 - 1
+
+
+def splitmix64_reference(x: int) -> int:
+    """One splitmix64 step on a Python int, wrapping at 2**64 by masking."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class ScalarDraws:
+    """One sensor's protocol draws, each uniform from its own scalar chain:
+    draw j hashes (DRAW_TAG, seed, step, round, sensor, j) one key at a time,
+    and its top 53 bits scaled by 2**-53 are the uniform. The chain has no end."""
+
+    def __init__(self, seed: int, step_index: int, round_index: int, sensor: int):
+        self.keys = (seed, step_index, round_index, sensor)
+        self.drawn = 0
+
+    def uniform(self) -> float:
+        z = splitmix64_reference(DRAW_TAG)
+        for key in (*self.keys, self.drawn):
+            z = splitmix64_reference(z ^ key)
+        self.drawn += 1
+        return (z >> 11) * 2.0**-53
+
+    def choice(self, a: int, size: int, replace: bool = False) -> list[int]:
+        """The positions of the size smallest of the next a uniforms; sorted()
+        is stable, so tied uniforms keep their order."""
+        assert not replace
+        u = [self.uniform() for _ in range(a)]
+        return sorted(range(a), key=u.__getitem__)[:size]
+
+    def integers(self, low: int, high: int) -> int:
+        return math.floor(low + self.uniform() * (high - low))
+
+
 def step_sensor_reference(
     state: SensorState,
     inbox: list[AggregateMessage],
-    rng: np.random.Generator,
+    rng: np.random.Generator | ScalarDraws,
     cap_m: int,
 ) -> tuple[SensorState, AggregateMessage]:
     """protocol.step_sensor one contributor at a time: a scalar sign draw
@@ -236,8 +275,8 @@ def sink_system_reference(
     above. Each round walks the delivered (sender, receiver) pairs in sorted
     order: a rider's inbox takes the message, and a sink appends its
     equation unless the same (row, value) pair is already in the system.
-    Sensors then advance with step_sensor_reference under the protocol's
-    seed (seed, step, round, sensor).
+    Every sensor then advances with step_sensor_reference, drawing from
+    ScalarDraws(seed, step, round, sensor).
     """
     n = positions.n
     hops = hops_reference(positions, sinks, params.range_m)
@@ -261,7 +300,7 @@ def sink_system_reference(
             step_sensor_reference(
                 states[i],
                 inboxes[i],
-                np.random.default_rng(np.random.SeedSequence((params.seed, step_index, rnd, i))),
+                ScalarDraws(params.seed, step_index, rnd, i),
                 cap_m,
             )
             for i in range(n)

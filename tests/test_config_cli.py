@@ -306,6 +306,15 @@ class TestCli:
         assert main(args) == 0
         assert (tmp_path / "report_matrix.csv").exists()
 
+    def test_non_finite_trace_number_exits_2(self, tmp_path, capsys):
+        trace = "time_s,rider_id,s_m,d_m\n0.0,0,0.0,0.0\n0.0,1,inf,0.0\n1.0,0,1.0,0.0\n1.0,1,2.0,0.0\n"
+        (tmp_path / "trace.csv").write_text(trace)
+        args = ["routing", "--out", str(tmp_path / "out"), "--set", f"trace={tmp_path / 'trace.csv'}",
+                "--set", "k_neighbors=1"]
+        assert main(args) == 2
+        assert "line 3: non-finite s_m" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_k_neighbors_must_be_below_rider_count(self, tmp_path, capsys):
         assert main(["matrix", "--out", str(tmp_path), "--set", "n=8", "--set", "k_neighbors=10",
                      "--set", "duration_s=5", "--set", "steps=2"]) == 2
@@ -341,6 +350,8 @@ class TestCli:
              "0.000,0,10.0\n0.000,1,10.0\n", ["t=0.0", "rider=1"]),
             # a timestamp in one file only
             ("0.000,0,10.0\n1.000,0,10.0\n", "0.000,0,10.0\n", ["t=1.0", "[0]"]),
+            # a non-finite velocity, named by line and field
+            ("0.000,0,10.0\n0.000,1,nan\n", "0.000,0,10.0\n0.000,1,10.0\n", ["line 3", "v_mps"]),
         ],
     )
     def test_stress_mismatch_rejected(self, tmp_path, capsys, truth, estimate, names):

@@ -248,6 +248,30 @@ class TestIngestTrace:
             assert np.array_equal(fa.pos, fb.pos)  # repr round-trips exactly
 
 
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity"])
+
+
+class TestNonFiniteCsvNumbers:
+    # every float field of both schemas; a non-finite value on any data row
+    # is an input-format error naming that line and field
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_named_by_line_and_field(self, data):
+        text, header, read = data.draw(st.sampled_from([
+            (GOOD_CSV, ["time_s", "rider_id", "s_m", "d_m"], lambda f: ingest_trace(f, dt=1.0)),
+            ("time_s,rider_id,v_mps\n0.0,0,10.0\n0.0,1,9.5\n1.0,0,10.5\n1.0,1,9.0\n",
+             ["time_s", "rider_id", "v_mps"], read_velocity_csv),
+        ]), label="schema")
+        lines = text.splitlines()
+        line = data.draw(st.integers(2, len(lines)), label="line")
+        field = data.draw(st.sampled_from([f for f in header if f != "rider_id"]), label="field")
+        cells = lines[line - 1].split(",")
+        cells[header.index(field)] = data.draw(NON_FINITE, label="value")
+        lines[line - 1] = ",".join(cells)
+        with pytest.raises(TraceFormatError, match=f"^line {line}: non-finite {field} "):
+            read(io.StringIO("\n".join(lines) + "\n"))
+
+
 class TestRacePrefix:
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -13,17 +13,19 @@ from csagg.metrics import stress
 from csagg.protocol import (
     DEFAULT_CAP,
     AggregateMessage,
+    SensorDraws,
     SensorState,
     collect_timestep,
     initial_state,
     payload_bits,
     plan_rounds,
     reconstruct,
+    sensor_uniforms,
     step_sensor,
 )
 from csagg.radio import RadioParams, compute_reachability, in_range_links, place_sinks
 from csagg.sparsity import Measurement
-from helpers import sink_system_reference, step_sensor_reference
+from helpers import ScalarDraws, sink_system_reference, step_sensor_reference
 
 
 def run_lossfree_rounds(n, rounds, readings, cap_m=1024, seed=0):
@@ -58,6 +60,87 @@ class TestPlanRounds:
         rounds, uncoverable = plan_rounds(np.array([1.0, 2.0, np.inf]))
         assert rounds == 3
         assert uncoverable == (2,)
+
+
+draw_keys = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**64 - 1),
+    "step_index": st.integers(0, 10**6),
+    "round_index": st.integers(1, 20),
+})
+
+
+def _blocks(u: np.ndarray, counts) -> list[list[float]]:
+    return [block.tolist() for block in np.split(u, np.cumsum(counts)[:-1])] if len(counts) else []
+
+
+class TestSensorUniforms:
+    @settings(max_examples=200, deadline=None)
+    @given(draw_keys, st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 40)), max_size=12))
+    def test_blocks_equal_the_scalar_chain(self, key, asks):
+        sensors = np.array([i for i, _ in asks], dtype=np.int64)
+        counts = [c for _, c in asks]
+        u = sensor_uniforms(key["seed"], key["step_index"], key["round_index"], sensors, counts)
+        want = []
+        for i, count in asks:
+            ref = ScalarDraws(key["seed"], key["step_index"], key["round_index"], i)
+            want.append([ref.uniform() for _ in range(count)])
+        assert _blocks(u, counts) == want
+        assert all(0.0 <= x < 1.0 for x in u.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(draw_keys, st.data())
+    def test_a_sensor_draws_the_same_in_any_subset(self, key, data):
+        # the last round steps only the senders a sink hears: each of them
+        # must draw what it would draw with every sensor stepped
+        n = data.draw(st.integers(1, 30), label="n")
+        counts = np.array(data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n), label="counts"))
+        subset = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="subset")
+        args = (key["seed"], key["step_index"], key["round_index"])
+        full = _blocks(sensor_uniforms(*args, np.arange(n), counts), counts)
+        part = _blocks(sensor_uniforms(*args, np.array(subset, dtype=np.int64), counts[subset]), counts[subset])
+        assert part == [full[i] for i in subset]
+
+    def test_keys_select_distinct_streams(self):
+        base = dict(seed=3, step_index=4, round_index=2)
+        one = sensor_uniforms(**base, sensors=np.array([5]), counts=[8])
+        for change in ({"seed": 4}, {"step_index": 5}, {"round_index": 3}):
+            other = sensor_uniforms(**{**base, **change}, sensors=np.array([5]), counts=[8])
+            assert not np.array_equal(one, other)
+        assert not np.array_equal(one, sensor_uniforms(**base, sensors=np.array([6]), counts=[8]))
+
+
+class TestSensorDraws:
+    def test_choice_takes_the_smallest_uniforms_ties_first(self):
+        draws = SensorDraws(np.array([0.5, 0.1, 0.5, 0.1, 0.9, 0.0]))
+        assert draws.choice(5, size=3, replace=False).tolist() == [1, 3, 0]
+        assert draws.choice(1, size=1, replace=False).tolist() == [0]
+
+    def test_integers_floor_the_scaled_uniform(self):
+        u = np.array([0.0, 0.4999, 0.5, 0.9999, 0.0, 0.5, 0.99])
+        draws = SensorDraws(u)
+        assert draws.integers(0, 2, size=4).tolist() == [0, 0, 1, 1]
+        assert draws.integers(-3, 4, size=3).tolist() == [-3, 0, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 30), st.data())
+    def test_draw_past_the_end_raises(self, size, data):
+        draws = SensorDraws(np.linspace(0.0, 0.9, size))
+        left = size
+        while left:
+            take = data.draw(st.integers(1, left), label="take")
+            if data.draw(st.booleans(), label="choice"):
+                assert len(draws.choice(take, size=1, replace=False)) == 1
+            else:
+                assert len(draws.integers(0, 2, size=take)) == take
+            left -= take
+        with pytest.raises(IndexError):
+            draws.integers(0, 2, size=1)
+        with pytest.raises(IndexError):
+            draws.choice(1, size=1, replace=False)
+
+    def test_sampling_with_replacement_rejected(self):
+        with pytest.raises(ValueError):
+            SensorDraws(np.zeros(4)).choice(4, size=2, replace=True)
 
 
 class TestStepSensor:
@@ -213,7 +296,7 @@ class TestSinkCollect:
 
     @pytest.mark.parametrize(
         "reading, step, own_rows",
-        [(7.0, 0, 2),  # rows e_0, e_0, -e_0
+        [(7.0, 11, 2),  # rows e_0, e_0, -e_0
          (-0.0, 3, 1)],  # (e_0, -0.0), then (e_0, 0.0) twice: equal values under ==
     )
     def test_isolated_sensor_resends_its_own_row(self, reading, step, own_rows):
@@ -350,16 +433,35 @@ class TestCollectTimestep:
         assert np.array_equal(r1.system.values, r2.system.values)
 
     def test_sign_stream_pinned(self):
-        # four rounds with losses; 82 of the 120 sensor steps subsample their
-        # inbox and 30 forward. The digest was taken with one scalar sign
-        # draw per term: it changes if the batched draws stop reproducing
-        # that stream (say, after a numpy change)
+        # four rounds with losses; of the 94 sensor steps, 59 subsample their
+        # inbox and 8 forward their previous message. The digest pins the
+        # counter-based stream: it changes if a block's layout (subsample
+        # uniforms, then one sign per term) or the hash chain's key changes
         readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=4, range_m=20.0)
         result = collect_timestep(readings, pos, sinks, radio, cap_m=8, step_index=2)
         assert result.rounds_used == 4
         system = result.system
         digest = hashlib.sha256(system.rows.tobytes() + system.values.tobytes()).hexdigest()
-        assert digest == "c0063e426392967322d87370659f81a05391d683e9a05aab4dac17b3fd7a7e9e"
+        assert digest == "4d4a71d04deceb2ab3d3b2c3d760e84065534354fc235cfd8cbd8b42fe8abcb7"
+
+    @pytest.mark.parametrize("cap_m", [8, DEFAULT_CAP])
+    def test_each_block_holds_exactly_the_draws_of_its_step(self, monkeypatch, cap_m):
+        # at cap_m=8 most inboxes are subsampled, at the default cap none is;
+        # a block left with an unused uniform would let a later layout drift
+        steps = []
+
+        def exhausting(state, inbox, rng, cap_m):
+            out = step_sensor(state, inbox, rng, cap_m)
+            with pytest.raises(IndexError):
+                rng.integers(0, 2, size=1)
+            steps.append(len(inbox) + 1 > cap_m)
+            return out
+
+        monkeypatch.setattr(protocol, "step_sensor", exhausting)
+        readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=4, range_m=20.0)
+        collect_timestep(readings, pos, sinks, radio, cap_m=cap_m, step_index=2)
+        assert len(steps) == 94
+        assert sum(steps) == (59 if cap_m == 8 else 0)
 
     def test_check_aggregates_names_sensor_and_round(self, monkeypatch):
         # sensors 5 and 7 send wrong round-2 aggregates; the first is named
