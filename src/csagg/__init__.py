@@ -33,6 +33,7 @@ from .sparsity import (
     Measurement,
     build_basis_l1,
     build_pairwise_l1,
+    decode_consistent,
     decode_solution,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "collect_timestep",
     "compute_reachability",
     "dct_matrix",
+    "decode_consistent",
     "decode_solution",
     "hop_distance_to_sinks",
     "in_range_links",

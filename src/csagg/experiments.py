@@ -17,7 +17,7 @@ from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
 from .protocol import CollectionResult, collect_timestep, reconstruct
 from .radio import place_sinks
-from .sparsity import Measurement, build_basis_l1, decode_solution
+from .sparsity import Measurement, build_basis_l1, decode_consistent
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,11 @@ def dct_demo_signal(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarr
 
 
 def _basis_recover(a: np.ndarray, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    problem = build_basis_l1(Measurement(a, y), phi)
-    sol = solve_lp(problem)
+    meas = Measurement(a, y)
+    sol = solve_lp(build_basis_l1(meas, phi))
     if sol.status is not LpStatus.OPTIMAL:
         raise ConfigError(f"basis recovery LP came back {sol.status.value}")
-    return decode_solution(sol, a.shape[1])
+    return decode_consistent(sol, meas)
 
 
 def run_dct_demo(cfg: ExperimentConfig) -> DctDemoResult:

@@ -5,10 +5,12 @@ equality-constrained problems with per-variable bounds (minimize c.z subject
 to G z = h, lower <= z <= upper). Without explicit bounds every variable is
 nonnegative, which is pure standard form; a lower bound of -inf makes a
 variable free below and an upper bound of +inf (the default) free above. It
-is backed by HiGHS via scipy; results are deterministic for a fixed problem.
-An optimal solution carries the equality duals y, and is returned only with
-a primal and a dual certificate: z is feasible, every free variable's
-reduced cost c - G^T y vanishes, and c.z equals the dual objective of y.
+is backed by HiGHS's interior-point solver (IPX) via scipy, with crossover
+to a vertex; results are deterministic for a fixed problem. An optimal
+solution carries the equality duals y, and is returned only with a primal
+and a dual certificate: z is feasible, every free variable's reduced cost
+c - G^T y vanishes, and c.z equals the dual objective of y. row_echelon
+reduces a linear system to its independent rows with the rank rule of rank.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
         A_eq=sparse.csr_matrix(g),
         b_eq=h,
         bounds=np.column_stack([lower, upper]),
-        method="highs",
+        method="highs-ipm",
         options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
     )
     if res.status == 2:
@@ -163,11 +165,37 @@ def least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     if m < n:
         raise RankDeficientError(f"system is underdetermined: {m} rows, {n} cols")
     q, r, perm = _pivoted_qr(a, mode="economic", pivoting=True)
-    if np.count_nonzero(np.abs(np.diag(r)) > RANK_RTOL * float(np.max(np.abs(a), initial=0.0))) < n:
+    if _qr_rank(r, a) < n:
         raise RankDeficientError("matrix is numerically rank-deficient")
     x = np.empty(n)
     x[perm] = solve_triangular(r, q.T @ y)
     return x
+
+
+def _qr_rank(r: np.ndarray, a: np.ndarray) -> int:
+    """Rank of a from its pivoted-QR factor r: |r_jj| > RANK_RTOL * max|entry of a|."""
+    return int(np.count_nonzero(np.abs(np.diag(r)) > RANK_RTOL * float(np.max(np.abs(a), initial=0.0))))
+
+
+def row_echelon(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, b_rhs): the reduced row-echelon form of a x = y.
+
+    One column-pivoted QR a P = Q R of numerical rank r under rank's rule
+    gives b = [I_r | R11^-1 R12] P^T, r rows whose pivot columns are exact unit
+    vectors, and b_rhs = R11^-1 Q_r^T y. Whenever a x = y is consistent, b x =
+    b_rhs has the same solutions; the dropped dependent rows are not checked.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if y.shape != (a.shape[0],):
+        raise DimensionError(f"rhs has length {y.shape}, expected ({a.shape[0]},)")
+    q, r, perm = _pivoted_qr(a, mode="economic", pivoting=True)
+    k = _qr_rank(r, a)
+    r11 = r[:k, :k]
+    b = np.zeros((k, a.shape[1]))
+    b[:, perm[:k]] = np.eye(k)
+    b[:, perm[k:]] = solve_triangular(r11, r[:k, k:])
+    return b, solve_triangular(r11, q[:, :k].T @ y)
 
 
 def rank(a: np.ndarray, tol: float | None = None) -> int:

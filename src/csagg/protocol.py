@@ -44,7 +44,7 @@ from .radio import (
     hop_distance_to_sinks,
     in_range_links,
 )
-from .sparsity import Measurement, build_pairwise_l1, decode_solution
+from .sparsity import Measurement, build_pairwise_l1, decode_consistent
 
 MIN_ROUNDS = 3
 DEFAULT_CAP = 32
@@ -234,7 +234,7 @@ def reconstruct(system: Measurement, graph: NeighborGraph) -> tuple[np.ndarray, 
             f"CS linear program came back {sol.status.value}; "
             "rows of a consistent system cannot be infeasible"
         )
-    return decode_solution(sol, system.n), "cs-lp"
+    return decode_consistent(sol, system), "cs-lp"
 
 
 @dataclass(frozen=True)

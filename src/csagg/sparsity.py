@@ -6,16 +6,21 @@ linear measurements Y = A X:
   * basis:     minimize ||phi X||_1        (sparsity in a transform basis)
   * pairwise:  minimize sum_{ij in E} |x_i - x_j|   (neighbors move alike)
 
-Each prior is a (p, n) operator T, and both builders compile
-min ||T X||_1 s.t. A X = Y into its LP dual, one bounded-variable LP over
-[lambda(k), mu(p)]:
+Each prior is a (p, n) operator T. Both builders first replace A X = Y by
+its reduced row-echelon form B X = Y' (linalg.row_echelon): one pivoted QR
+of rank r gives r rows [I_r | R11^-1 R12] in pivot order and drops the
+dependent rows. They then compile min ||T X||_1 s.t. B X = Y' into its LP
+dual, one bounded-variable LP over [lambda(r), mu(p)]:
 
-    maximize Y.lambda  s.t.  A^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1
+    maximize Y'.lambda  s.t.  B^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1
 
-which has n equality rows and k + p columns. By strong duality its optimum
-is ||T X||_1 at the recovered X, and X is the negated vector of its equality
-duals, so decode_solution reads X from the solution's duals regardless of
-the prior.
+which has n equality rows and r + p columns, not k + p; each lambda column
+holds 1 + (n - r) entries instead of k dense ones. By strong duality its
+optimum is ||T X||_1 at the recovered X, and X is the negated vector of its
+equality duals, so decode_solution reads X from the solution's duals
+regardless of the prior. The dropped rows are checked afterwards:
+decode_consistent rejects an X that misses any received row, which is how an
+inconsistent system shows.
 """
 
 from __future__ import annotations
@@ -24,8 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import LpProblem, LpSolution, LpStatus
+from .errors import DimensionError, NumericalError
+from .linalg import LpProblem, LpSolution, LpStatus, row_echelon
+
+# decode_consistent: ||A X - Y||_inf may reach this times max(1, ||Y||_inf)
+CONSISTENCY_RTOL = 1e-8
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -71,22 +79,24 @@ def _check_edges(edges: EdgeList, n: int) -> EdgeList:
 
 
 def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
-    """Dual LP of min ||T X||_1 s.t. A X = Y, as a minimization:
+    """Dual LP of min ||T X||_1 s.t. B X = Y', the row-echelon form of A X = Y,
+    as a minimization:
 
-    min -Y.lambda  s.t.  A^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1.
+    min -Y'.lambda  s.t.  B^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1.
 
     T is the (p, n) operator whose componentwise absolute value is being
-    minimized. Variables: [lambda(k), mu(p)]; X is minus the equality duals.
+    minimized. Variables: [lambda(r), mu(p)] for B of rank r; X is minus the
+    equality duals.
     """
-    a, y = meas.rows, meas.values
-    k, n = a.shape
+    b, b_rhs = row_echelon(meas.rows, meas.values)
+    r, n = b.shape
     p = t.shape[0]
     return LpProblem(
-        objective=np.concatenate([-y, np.zeros(p)]),
-        eq_matrix=np.hstack([a.T, -t.T]),
+        objective=np.concatenate([-b_rhs, np.zeros(p)]),
+        eq_matrix=np.hstack([b.T, -t.T]),
         eq_rhs=np.zeros(n),
-        lower=np.concatenate([np.full(k, -np.inf), np.full(p, -1.0)]),
-        upper=np.concatenate([np.full(k, np.inf), np.full(p, 1.0)]),
+        lower=np.concatenate([np.full(r, -np.inf), np.full(p, -1.0)]),
+        upper=np.concatenate([np.full(r, np.inf), np.full(p, 1.0)]),
     )
 
 
@@ -121,3 +131,19 @@ def decode_solution(sol: LpSolution, n: int) -> np.ndarray:
     if sol.eq_duals is None or sol.eq_duals.shape != (n,):
         raise DimensionError(f"solution carries no {n} equality duals")
     return -sol.eq_duals
+
+
+def decode_consistent(sol: LpSolution, meas: Measurement) -> np.ndarray:
+    """decode_solution, checked against every received row: the builders keep
+    only independent rows, so an inconsistent system still gives an X, and
+    ||A X - Y||_inf above CONSISTENCY_RTOL * max(1, ||Y||_inf) raises
+    NumericalError."""
+    x = decode_solution(sol, meas.n)
+    resid = float(np.max(np.abs(meas.rows @ x - meas.values), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(meas.values), initial=0.0)))
+    if resid > CONSISTENCY_RTOL * scale:
+        raise NumericalError(
+            f"received rows are inconsistent: the L1 estimate misses them by {resid:.3e} "
+            f"(tolerance {CONSISTENCY_RTOL * scale:.3e})"
+        )
+    return x

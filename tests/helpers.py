@@ -17,8 +17,10 @@ from csagg.mobility import (
     RaceTrace,
 )
 from csagg.errors import ConfigError, DimensionError
+from csagg.linalg import LpProblem
 from csagg.protocol import DRAW_TAG, AggregateMessage, SensorState, initial_state, payload_bits
 from csagg.radio import RadioParams, link_uniforms
+from csagg.sparsity import Measurement
 
 
 def brute_force_lp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> float | None:
@@ -96,6 +98,28 @@ def split_residual_abs_lp(a: np.ndarray, y: np.ndarray, t: np.ndarray):
     c = np.concatenate([np.zeros(n), np.ones(2 * p)])
     lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * p)])
     return c, g, h, lower
+
+
+def unreduced_abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
+    """Dual LP of min ||T X||_1 s.t. A X = Y over every received row, as a
+    minimization:
+
+    min -Y.lambda  s.t.  A^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1.
+
+    Variables: [lambda(k), mu(p)], one dense lambda column per row of A, dependent
+    rows included; X is minus the equality duals. An inconsistent A X = Y
+    makes this LP unbounded.
+    """
+    a, y = meas.rows, meas.values
+    k, n = a.shape
+    p = t.shape[0]
+    return LpProblem(
+        objective=np.concatenate([-y, np.zeros(p)]),
+        eq_matrix=np.hstack([a.T, -t.T]),
+        eq_rhs=np.zeros(n),
+        lower=np.concatenate([np.full(k, -np.inf), np.full(p, -1.0)]),
+        upper=np.concatenate([np.full(k, np.inf), np.full(p, 1.0)]),
+    )
 
 
 def random_bounded_lp(rng: np.random.Generator):

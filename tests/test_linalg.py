@@ -13,6 +13,7 @@ from csagg.linalg import (
     dct_matrix,
     least_squares,
     rank,
+    row_echelon,
     solve_lp,
 )
 from helpers import brute_force_lp, random_bounded_lp, random_feasible_lp
@@ -227,6 +228,50 @@ class TestRank:
     def test_empty_and_zero(self):
         assert rank(np.zeros((0, 3))) == 0
         assert rank(np.zeros((2, 2))) == 0
+
+
+class TestRowEchelon:
+    def test_duplicate_row_dropped(self):
+        a = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
+        b, b_rhs = row_echelon(a, np.array([2.0, 2.0, 3.0]))
+        assert b.shape == (2, 4)
+        x = np.linalg.lstsq(b, b_rhs, rcond=None)[0]
+        assert np.abs(a @ x - [2.0, 2.0, 3.0]).max() <= 1e-12
+
+    def test_zero_and_empty_rows_give_no_rows(self):
+        for a in (np.zeros((2, 3)), np.zeros((0, 3))):
+            b, b_rhs = row_echelon(a, np.zeros(a.shape[0]))
+            assert b.shape == (0, 3) and b_rhs.shape == (0,)
+
+    def test_rhs_length_checked(self):
+        with pytest.raises(DimensionError):
+            row_echelon(np.eye(3), np.zeros(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_solutions_on_rank_rows(self, data):
+        # the same integer and scaled-column systems as least squares, with
+        # more or fewer rows than columns
+        n = data.draw(st.integers(1, 8), label="n")
+        m = data.draw(st.integers(1, 12), label="m")
+        entries = st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n)
+        scale = np.array(data.draw(st.lists(st.sampled_from([1e-3, 1.0, 7.0]), min_size=n, max_size=n)))
+        a = np.array(data.draw(entries, label="a"), dtype=float).reshape(m, n) * scale
+        x0 = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n), label="x0"))
+        y = a @ x0
+        b, b_rhs = row_echelon(a, y)
+        r = rank(a)
+        assert b.shape == (r, n)
+        # r columns are exact unit vectors, one per row
+        units = [j for j in range(n) if np.count_nonzero(b[:, j]) == 1 and b[:, j].max() == 1.0]
+        assert len(units) >= r and rank(b[:, units]) == r
+        # the rows span the rows of a: the true signal solves them, and so
+        # does any other solution of b x = b_rhs solve a x = y
+        assert rank(np.vstack([a, b])) == r
+        assert np.abs(b @ x0 - b_rhs).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(x0).max())
+        if r:
+            x = np.linalg.lstsq(b, b_rhs, rcond=None)[0]
+            assert np.abs(a @ x - y).max() <= 1e-8 * max(1.0, np.abs(y).max(), np.abs(x).max())
 
 
 class TestDct:

@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csagg.errors import DimensionError
-from csagg.graph import RiderPositions, connected_components, knn_graph
-from csagg.linalg import DEFAULT_FEAS_TOL, LpProblem, LpStatus, LpSolution, dct_matrix, solve_lp
+from csagg import experiments
+from csagg.config import load_config
+from csagg.errors import DimensionError, NumericalError
+from csagg.graph import NeighborGraph, RiderPositions, connected_components, knn_graph
+from csagg.linalg import DEFAULT_FEAS_TOL, LpProblem, LpStatus, LpSolution, dct_matrix, rank, solve_lp
 from csagg.metrics import stress
+from csagg.protocol import reconstruct
 from csagg.sparsity import (
+    CONSISTENCY_RTOL,
     Measurement,
     build_basis_l1,
     build_pairwise_l1,
+    decode_consistent,
     decode_solution,
     pairwise_difference_operator,
 )
-from helpers import bernoulli_matrix, split_residual_abs_lp, standard_form_abs_lp
+from helpers import bernoulli_matrix, split_residual_abs_lp, standard_form_abs_lp, unreduced_abs_bound_lp
 
 
 def recover(problem, n):
@@ -289,3 +294,86 @@ class TestDualEquivalence:
 
         x = decode_solution(sol, n)
         assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
+
+
+class TestRowEchelonLp:
+    """The builders' LP over the row-echelon form against the unreduced dual
+    over every received row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prior=st.sampled_from(["basis", "pairwise"]),
+        shape=st.sampled_from(["full_row_rank", "routing_like", "duplicate_rows"]),
+        n=st.integers(min_value=3, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_optimum_as_unreduced_dual(self, prior, shape, n, seed):
+        rng = np.random.default_rng(seed)
+        if shape == "full_row_rank":
+            a = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        elif shape == "routing_like":
+            # more rows than riders, rank below n, small signed integers
+            base = rng.integers(-3, 4, size=(int(rng.integers(1, n)), n))
+            a = (rng.integers(-1, 2, size=(n + int(rng.integers(1, 10)), base.shape[0])) @ base).astype(float)
+        else:
+            a = rng.standard_normal((int(rng.integers(1, n)), n))
+            a = np.vstack([a, a[rng.integers(0, a.shape[0], size=int(rng.integers(1, 4)))]])
+        meas = Measurement(a, a @ (10.0 + rng.standard_normal(n)))
+        t, build = _random_prior(rng, prior, n)
+        problem = build(meas)
+        assert problem.eq_matrix.shape == (n, rank(a) + t.shape[0])
+        sol = solve_lp(problem)
+        assert sol.status is LpStatus.OPTIMAL
+
+        oracle = solve_lp(unreduced_abs_bound_lp(meas, t))
+        assert oracle.status is LpStatus.OPTIMAL
+        scale = max(1.0, abs(oracle.objective_value))
+        assert abs(sol.objective_value - oracle.objective_value) <= 1e-7 * scale
+
+        x = decode_consistent(sol, meas)
+        assert np.abs(a @ x - meas.values).max() <= CONSISTENCY_RTOL * max(1.0, np.abs(meas.values).max())
+        assert abs(-sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
+
+    # one exact duplicate row whose value disagrees in the fourth digit
+    INCONSISTENT = (np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]]), np.array([2.0, 2.001, 3.0]))
+
+    def test_inconsistent_rows_have_an_unbounded_unreduced_dual(self):
+        meas = Measurement(*self.INCONSISTENT)
+        t = pairwise_difference_operator(PATH_EDGES_4, 4)
+        assert solve_lp(unreduced_abs_bound_lp(meas, t)).status is LpStatus.UNBOUNDED
+        # the reduced LP keeps one of the two rows and is solvable
+        assert solve_lp(build_pairwise_l1(meas, PATH_EDGES_4)).status is LpStatus.OPTIMAL
+
+    @pytest.mark.parametrize("recover_from", ["reconstruct", "basis"])
+    def test_inconsistent_rows_raise(self, recover_from):
+        a, y = self.INCONSISTENT
+        with pytest.raises(NumericalError, match="inconsistent.*misses them by 5.000e-04"):
+            if recover_from == "reconstruct":
+                reconstruct(Measurement(a, y), NeighborGraph(n=4, edges=PATH_EDGES_4))
+            else:
+                experiments._basis_recover(a, y, dct_matrix(4))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["scenario=matrix", "k_measurements=60"], ["scenario=routing", "loss_p=0.5"]],
+        ids=["matrix-k60", "routing-p50"],
+    )
+    def test_seed_1_estimates_match_unreduced_dual(self, tmp_path, monkeypatch, overrides):
+        # the benchmark's LP workloads: every step's LP estimate within 1e-9
+        # of the unreduced dual's
+        cfg = load_config(None, [*overrides, "seed=1", "steps=12", f"out={tmp_path}"])
+        real, solved = experiments.reconstruct, []
+
+        def recording(system, graph):
+            estimate, tag = real(system, graph)
+            if tag == "cs-lp":
+                solved.append((system, graph, estimate))
+            return estimate, tag
+
+        monkeypatch.setattr(experiments, "reconstruct", recording)
+        (experiments.run_matrix if overrides[0] == "scenario=matrix" else experiments.run_routing)(cfg)
+        assert len(solved) >= 10
+        for system, graph, estimate in solved:
+            t = pairwise_difference_operator(graph.edges, system.n)
+            oracle = decode_solution(solve_lp(unreduced_abs_bound_lp(system, t)), system.n)
+            assert np.abs(estimate - oracle).max() <= 1e-9
