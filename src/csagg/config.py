@@ -3,12 +3,17 @@
 A config file holds one `key=value` per line (# comments allowed). The exact
 resolved configuration is embedded as a comment header in every report, so a
 run can be reproduced by copying those lines back into a config file.
+
+KEYS is the one list of config keys. It maps each key to the field it sets
+and the kind of its value, and apply_setting, config_lines and validate's
+finiteness check all read it, so a key is declared once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError
 from .mobility import PelotonParams, SpeedProfile
@@ -16,20 +21,6 @@ from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
 GRAPH_MODES = ("reconstruction", "truth")
-# config key -> the PelotonParams float field it sets
-_PELOTON_FLOATS = {
-    "duration_s": "duration",
-    "dt_s": "dt",
-    "separation_gain": "separation_gain",
-    "alignment_gain": "alignment_gain",
-    "cohesion_gain": "cohesion_gain",
-    "neighbor_radius_m": "neighbor_radius",
-    "breakaway_rate": "breakaway_rate",
-    "breakaway_boost_mps": "breakaway_boost",
-    "breakaway_duration_s": "breakaway_duration",
-    "speed_jitter_mps": "speed_jitter",
-    "init_length_m": "init_length",
-}
 
 
 @dataclass(frozen=True)
@@ -56,16 +47,10 @@ class ExperimentConfig:
         return RadioParams(range_m=self.range_m, loss_p=self.loss_p, seed=self.seed)
 
     def validate(self) -> None:
-        numbers = {key: getattr(self.peloton, field) for key, field in _PELOTON_FLOATS.items()}
-        numbers.update(range_m=self.range_m, loss_p=self.loss_p)
-        for key, value in numbers.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{key}={value} must be a finite number")
-        if not all(math.isfinite(x) for entry in self.peloton.base_speed_profile for x in entry):
-            raise ConfigError(
-                f"base_speed_profile={_format_profile(self.peloton.base_speed_profile)} "
-                "must hold finite numbers"
-            )
+        for key, (owner, field, kind) in KEYS.items():
+            value = _value(self, owner, field)
+            if kind in (_FLOAT, _PROFILE) and not np.isfinite(value).all():
+                raise ConfigError(f"{key}={kind[1](value)} must be finite")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.graph_mode not in GRAPH_MODES:
@@ -135,56 +120,67 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+# A kind is a (parse, format) pair: format writes a value as text that parse
+# reads back as the same value.
+_STR = (str, str)
+_INT = (int, str)
+_FLOAT = (float, _format_float)
+_BOOL = (_parse_bool, lambda value: "true" if value else "false")
+_PROFILE = (_parse_profile, _format_profile)
+_PATH = (lambda text: text or None, str)  # an empty path unsets it
+
+# config key -> (owner, field, kind), in the order config_lines prints them;
+# the owner is ExperimentConfig or its PelotonParams
+KEYS = {
+    "scenario": (ExperimentConfig, "scenario", _STR),
+    "seed": (ExperimentConfig, "seed", _INT),
+    "trace": (ExperimentConfig, "trace_path", _PATH),
+    "n": (PelotonParams, "n", _INT),
+    "duration_s": (PelotonParams, "duration", _FLOAT),
+    "dt_s": (PelotonParams, "dt", _FLOAT),
+    "base_speed_profile": (PelotonParams, "base_speed_profile", _PROFILE),
+    "separation_gain": (PelotonParams, "separation_gain", _FLOAT),
+    "alignment_gain": (PelotonParams, "alignment_gain", _FLOAT),
+    "cohesion_gain": (PelotonParams, "cohesion_gain", _FLOAT),
+    "neighbor_radius_m": (PelotonParams, "neighbor_radius", _FLOAT),
+    "breakaway_rate": (PelotonParams, "breakaway_rate", _FLOAT),
+    "breakaway_boost_mps": (PelotonParams, "breakaway_boost", _FLOAT),
+    "breakaway_duration_s": (PelotonParams, "breakaway_duration", _FLOAT),
+    "speed_jitter_mps": (PelotonParams, "speed_jitter", _FLOAT),
+    "init_length_m": (PelotonParams, "init_length", _FLOAT),
+    "range_m": (ExperimentConfig, "range_m", _FLOAT),
+    "loss_p": (ExperimentConfig, "loss_p", _FLOAT),
+    "k_measurements": (ExperimentConfig, "k_measurements", _INT),
+    "k_neighbors": (ExperimentConfig, "k_neighbors", _INT),
+    "cap_m": (ExperimentConfig, "cap_m", _INT),
+    "graph_mode": (ExperimentConfig, "graph_mode", _STR),
+    "steps": (ExperimentConfig, "steps", _INT),
+    "check_aggregates": (ExperimentConfig, "check_aggregates", _BOOL),
+    "dct_n": (ExperimentConfig, "dct_n", _INT),
+    "dct_sparsity": (ExperimentConfig, "dct_sparsity", _INT),
+    "dct_losses": (ExperimentConfig, "dct_losses", _INT),
+    "dct_k": (ExperimentConfig, "dct_k", _INT),
+    "out": (ExperimentConfig, "out_dir", _STR),
+}
+
+
+def _value(cfg: ExperimentConfig, owner: type, field: str):
+    return getattr(cfg.peloton if owner is PelotonParams else cfg, field)
+
+
 def apply_setting(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
-    p = cfg.peloton
+    if key not in KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    owner, field, (parse, _) = KEYS[key]
     try:
-        match key:
-            case "scenario":
-                return replace(cfg, scenario=value)
-            case "n":
-                return replace(cfg, peloton=replace(p, n=int(value)))
-            case "base_speed_profile":
-                return replace(cfg, peloton=replace(p, base_speed_profile=_parse_profile(value)))
-            case _ if key in _PELOTON_FLOATS:
-                return replace(cfg, peloton=replace(p, **{_PELOTON_FLOATS[key]: float(value)}))
-            case "trace":
-                return replace(cfg, trace_path=value or None)
-            case "range_m":
-                return replace(cfg, range_m=float(value))
-            case "loss_p":
-                return replace(cfg, loss_p=float(value))
-            case "k_measurements":
-                return replace(cfg, k_measurements=int(value))
-            case "k_neighbors":
-                return replace(cfg, k_neighbors=int(value))
-            case "cap_m":
-                return replace(cfg, cap_m=int(value))
-            case "graph_mode":
-                return replace(cfg, graph_mode=value)
-            case "steps":
-                return replace(cfg, steps=int(value))
-            case "check_aggregates":
-                return replace(cfg, check_aggregates=_parse_bool(value))
-            case "dct_n":
-                return replace(cfg, dct_n=int(value))
-            case "dct_sparsity":
-                return replace(cfg, dct_sparsity=int(value))
-            case "dct_losses":
-                return replace(cfg, dct_losses=int(value))
-            case "dct_k":
-                return replace(cfg, dct_k=int(value))
-            case "seed":
-                return replace(
-                    cfg, seed=int(value), peloton=replace(p, seed=int(value))
-                )
-            case "out":
-                return replace(cfg, out_dir=value)
-            case _:
-                raise ConfigError(f"unknown config key {key!r}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
+        parsed = parse(value)
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    if key == "seed":  # one seed for the run and its simulated race
+        return replace(cfg, seed=parsed, peloton=replace(cfg.peloton, seed=parsed))
+    if owner is PelotonParams:
+        return replace(cfg, peloton=replace(cfg.peloton, **{field: parsed}))
+    return replace(cfg, **{field: parsed})
 
 
 def load_config(
@@ -220,37 +216,13 @@ def load_config(
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
-    """Resolved key=value lines; feeding them back reproduces the run."""
-    p = cfg.peloton
-    lines = [
-        f"scenario={cfg.scenario}",
-        f"seed={cfg.seed}",
-        f"n={p.n}",
-        f"duration_s={_format_float(p.duration)}",
-        f"dt_s={_format_float(p.dt)}",
-        f"base_speed_profile={_format_profile(p.base_speed_profile)}",
-        f"separation_gain={_format_float(p.separation_gain)}",
-        f"alignment_gain={_format_float(p.alignment_gain)}",
-        f"cohesion_gain={_format_float(p.cohesion_gain)}",
-        f"neighbor_radius_m={_format_float(p.neighbor_radius)}",
-        f"breakaway_rate={_format_float(p.breakaway_rate)}",
-        f"breakaway_boost_mps={_format_float(p.breakaway_boost)}",
-        f"breakaway_duration_s={_format_float(p.breakaway_duration)}",
-        f"speed_jitter_mps={_format_float(p.speed_jitter)}",
-        f"init_length_m={_format_float(p.init_length)}",
-        f"range_m={_format_float(cfg.range_m)}",
-        f"loss_p={_format_float(cfg.loss_p)}",
-        f"k_measurements={cfg.k_measurements}",
-        f"k_neighbors={cfg.k_neighbors}",
-        f"cap_m={cfg.cap_m}",
-        f"graph_mode={cfg.graph_mode}",
-        f"steps={cfg.steps}",
-        f"check_aggregates={'true' if cfg.check_aggregates else 'false'}",
-        f"dct_n={cfg.dct_n}",
-        f"dct_sparsity={cfg.dct_sparsity}",
-        f"dct_losses={cfg.dct_losses}",
-        f"dct_k={cfg.dct_k}",
-    ]
-    if cfg.trace_path:
-        lines.insert(2, f"trace={cfg.trace_path}")
+    """Resolved key=value lines in KEYS order; feeding them back reproduces
+    the run. An unset trace is left out, and so is out, which only says where
+    the run writes."""
+    lines = []
+    for key, (owner, field, (_, format_)) in KEYS.items():
+        value = _value(cfg, owner, field)
+        if key == "out" or (key == "trace" and not value):
+            continue
+        lines.append(f"{key}={format_(value)}")
     return lines

@@ -39,11 +39,13 @@ class NeighborGraph:
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
+        seen = set()
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
                 raise DimensionError(f"edge ({i},{j}) invalid for n={self.n}")
-        if len(set(self.edges)) != len(self.edges):
-            raise DimensionError("duplicate edges")
+            if (i, j) in seen:
+                raise DimensionError(f"duplicate edge ({i},{j})")
+            seen.add((i, j))
 
 
 def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:

@@ -76,10 +76,6 @@ class LpProblem:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
-    @property
-    def num_vars(self) -> int:
-        return self.objective.shape[0]
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -198,20 +194,12 @@ def row_echelon(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, solve_triangular(r11, q[:, :k].T @ y)
 
 
-def rank(a: np.ndarray, tol: float | None = None) -> int:
-    """Numerical rank via column-pivoted QR; default tol = RANK_RTOL * max|entry|."""
+def rank(a: np.ndarray) -> int:
+    """Numerical rank via one column-pivoted QR, under _qr_rank's rule."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    if tol is None:
-        tol = RANK_RTOL * float(np.max(np.abs(a)))
-    elif tol <= 0:
-        raise ValueError("tol must be positive")
-    if np.max(np.abs(a)) == 0.0:
-        return 0
-    r = _pivoted_qr(a, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    return int(np.count_nonzero(diag > tol))
+    return _qr_rank(_pivoted_qr(a, mode="r", pivoting=True)[0], a)
 
 
 def dct_matrix(n: int) -> np.ndarray:

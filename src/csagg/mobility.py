@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import IO
 
@@ -202,10 +203,39 @@ def velocities(trace: RaceTrace) -> list[VelocityFrame]:
     return out
 
 
-def _require_finite(lineno: int, **fields: float) -> None:
-    for name, value in fields.items():
-        if not math.isfinite(value):
-            raise TraceFormatError(f"line {lineno}: non-finite {name} {value}")
+def _csv_records(
+    source: str | IO[str], header: tuple[str, ...], kinds: tuple[type, ...]
+) -> Iterator[tuple[int, list]]:
+    """(line number, values) of each data row of a CSV file or stream whose
+    first line is `header`, each field parsed by its kind; blank lines are
+    skipped. A wrong header, a wrong field count, a field that does not parse
+    and a non-finite float raise TraceFormatError naming the line, and a file
+    that cannot be opened raises it naming the file."""
+    if isinstance(source, str):
+        try:
+            fh = open(source, newline="", encoding="utf-8")
+        except OSError as exc:
+            raise TraceFormatError(f"cannot read {source}: {exc}") from exc
+        with fh:
+            yield from _csv_records(fh, header, kinds)
+        return
+    reader = csv.reader(source)
+    first = next(reader, None)
+    if first is None or tuple(c.strip() for c in first) != header:
+        raise TraceFormatError(f"line 1: expected header {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise TraceFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            values = [kind(cell) for kind, cell in zip(kinds, row)]
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        for name, value in zip(header, values):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TraceFormatError(f"line {lineno}: non-finite {name} {value}")
+        yield lineno, values
 
 
 def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
@@ -217,29 +247,10 @@ def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    if isinstance(source, str):
-        with open(source, newline="", encoding="utf-8") as fh:
-            return ingest_trace(fh, dt)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["time_s", "rider_id", "s_m", "d_m"]:
-        raise TraceFormatError("line 1: expected header time_s,rider_id,s_m,d_m")
-
     rider_order: dict[int, int] = {}
     cells: dict[tuple[float, int], tuple[float, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            t = float(row[0])
-            rider = int(row[1])
-            s = float(row[2])
-            d = float(row[3])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        _require_finite(lineno, time_s=t, s_m=s, d_m=d)
+    records = _csv_records(source, ("time_s", "rider_id", "s_m", "d_m"), (float, int, float, float))
+    for lineno, (t, rider, s, d) in records:
         if rider < 0:
             raise TraceFormatError(f"line {lineno}: negative rider_id {rider}")
         key = (t, rider)
@@ -282,27 +293,11 @@ def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:
     """Read the `time_s,rider_id,v_mps` schema as {time: {rider_id: v}};
     a non-finite number or a repeated (time, rider) cell raises
     TraceFormatError naming the line."""
-    if isinstance(source, str):
-        with open(source, newline="", encoding="utf-8") as fh:
-            return read_velocity_csv(fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["time_s", "rider_id", "v_mps"]:
-        raise TraceFormatError("line 1: expected header time_s,rider_id,v_mps")
     data: dict[float, dict[int, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise TraceFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            t, rider, v = float(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        _require_finite(lineno, time_s=t, v_mps=v)
+    records = _csv_records(source, ("time_s", "rider_id", "v_mps"), (float, int, float))
+    for lineno, (t, rider, v) in records:
         by_rider = data.setdefault(t, {})
         if rider in by_rider:
             raise TraceFormatError(f"line {lineno}: duplicate cell (t={t}, rider={rider})")
         by_rider[rider] = v
     return data
-

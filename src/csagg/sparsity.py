@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
+from .graph import NeighborGraph
 from .linalg import LpProblem, LpSolution, LpStatus, row_echelon
 
 # decode_consistent: ||A X - Y||_inf may reach this times max(1, ||Y||_inf)
@@ -64,20 +65,6 @@ class Measurement:
         return self.rows.shape[0]
 
 
-def _check_edges(edges: EdgeList, n: int) -> EdgeList:
-    edges = tuple((int(i), int(j)) for i, j in edges)
-    if not edges:
-        raise DimensionError("edge list is empty: the objective would be void")
-    seen = set()
-    for i, j in edges:
-        if not (0 <= i < j < n):
-            raise DimensionError(f"edge ({i},{j}) invalid for n={n}")
-        if (i, j) in seen:
-            raise DimensionError(f"duplicate edge ({i},{j})")
-        seen.add((i, j))
-    return edges
-
-
 def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
     """Dual LP of min ||T X||_1 s.t. B X = Y', the row-echelon form of A X = Y,
     as a minimization:
@@ -110,8 +97,11 @@ def build_basis_l1(meas: Measurement, basis: np.ndarray) -> LpProblem:
 
 
 def pairwise_difference_operator(edges: EdgeList, n: int) -> np.ndarray:
-    """(|E|, n) operator mapping X to (x_i - x_j) over the edges, i < j."""
-    edges = _check_edges(edges, n)
+    """(|E|, n) operator mapping X to (x_i - x_j) over the edges, i < j; the
+    edges are checked as a NeighborGraph's."""
+    edges = NeighborGraph(n, tuple((int(i), int(j)) for i, j in edges)).edges
+    if not edges:
+        raise DimensionError("edge list is empty: the objective would be void")
     t = np.zeros((len(edges), n))
     for e, (i, j) in enumerate(edges):
         t[e, i] = 1.0

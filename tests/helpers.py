@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,6 +16,13 @@ from csagg.mobility import (
     SPEED_RELAX_PER_S,
     PelotonParams,
     RaceTrace,
+)
+from csagg.config import (
+    ExperimentConfig,
+    _format_float,
+    _format_profile,
+    _parse_bool,
+    _parse_profile,
 )
 from csagg.errors import ConfigError, DimensionError
 from csagg.linalg import LpProblem
@@ -439,3 +447,107 @@ def components_reference(graph: NeighborGraph) -> list[list[int]]:
                     frontier.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+# config key -> the PelotonParams float field it sets
+_PELOTON_FLOATS = {
+    "duration_s": "duration",
+    "dt_s": "dt",
+    "separation_gain": "separation_gain",
+    "alignment_gain": "alignment_gain",
+    "cohesion_gain": "cohesion_gain",
+    "neighbor_radius_m": "neighbor_radius",
+    "breakaway_rate": "breakaway_rate",
+    "breakaway_boost_mps": "breakaway_boost",
+    "breakaway_duration_s": "breakaway_duration",
+    "speed_jitter_mps": "speed_jitter",
+    "init_length_m": "init_length",
+}
+
+
+def apply_setting_reference(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
+    """config.apply_setting written out key by key, one case per key."""
+    p = cfg.peloton
+    try:
+        match key:
+            case "scenario":
+                return replace(cfg, scenario=value)
+            case "n":
+                return replace(cfg, peloton=replace(p, n=int(value)))
+            case "base_speed_profile":
+                return replace(cfg, peloton=replace(p, base_speed_profile=_parse_profile(value)))
+            case _ if key in _PELOTON_FLOATS:
+                return replace(cfg, peloton=replace(p, **{_PELOTON_FLOATS[key]: float(value)}))
+            case "trace":
+                return replace(cfg, trace_path=value or None)
+            case "range_m":
+                return replace(cfg, range_m=float(value))
+            case "loss_p":
+                return replace(cfg, loss_p=float(value))
+            case "k_measurements":
+                return replace(cfg, k_measurements=int(value))
+            case "k_neighbors":
+                return replace(cfg, k_neighbors=int(value))
+            case "cap_m":
+                return replace(cfg, cap_m=int(value))
+            case "graph_mode":
+                return replace(cfg, graph_mode=value)
+            case "steps":
+                return replace(cfg, steps=int(value))
+            case "check_aggregates":
+                return replace(cfg, check_aggregates=_parse_bool(value))
+            case "dct_n":
+                return replace(cfg, dct_n=int(value))
+            case "dct_sparsity":
+                return replace(cfg, dct_sparsity=int(value))
+            case "dct_losses":
+                return replace(cfg, dct_losses=int(value))
+            case "dct_k":
+                return replace(cfg, dct_k=int(value))
+            case "seed":
+                return replace(cfg, seed=int(value), peloton=replace(p, seed=int(value)))
+            case "out":
+                return replace(cfg, out_dir=value)
+            case _:
+                raise ConfigError(f"unknown config key {key!r}")
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def config_lines_reference(cfg: ExperimentConfig) -> list[str]:
+    """config.config_lines written out line by line."""
+    p = cfg.peloton
+    lines = [
+        f"scenario={cfg.scenario}",
+        f"seed={cfg.seed}",
+        f"n={p.n}",
+        f"duration_s={_format_float(p.duration)}",
+        f"dt_s={_format_float(p.dt)}",
+        f"base_speed_profile={_format_profile(p.base_speed_profile)}",
+        f"separation_gain={_format_float(p.separation_gain)}",
+        f"alignment_gain={_format_float(p.alignment_gain)}",
+        f"cohesion_gain={_format_float(p.cohesion_gain)}",
+        f"neighbor_radius_m={_format_float(p.neighbor_radius)}",
+        f"breakaway_rate={_format_float(p.breakaway_rate)}",
+        f"breakaway_boost_mps={_format_float(p.breakaway_boost)}",
+        f"breakaway_duration_s={_format_float(p.breakaway_duration)}",
+        f"speed_jitter_mps={_format_float(p.speed_jitter)}",
+        f"init_length_m={_format_float(p.init_length)}",
+        f"range_m={_format_float(cfg.range_m)}",
+        f"loss_p={_format_float(cfg.loss_p)}",
+        f"k_measurements={cfg.k_measurements}",
+        f"k_neighbors={cfg.k_neighbors}",
+        f"cap_m={cfg.cap_m}",
+        f"graph_mode={cfg.graph_mode}",
+        f"steps={cfg.steps}",
+        f"check_aggregates={'true' if cfg.check_aggregates else 'false'}",
+        f"dct_n={cfg.dct_n}",
+        f"dct_sparsity={cfg.dct_sparsity}",
+        f"dct_losses={cfg.dct_losses}",
+        f"dct_k={cfg.dct_k}",
+    ]
+    if cfg.trace_path:
+        lines.insert(2, f"trace={cfg.trace_path}")
+    return lines

@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ from csagg import experiments
 from csagg.cli import main
 from csagg.config import (
     GRAPH_MODES,
+    KEYS,
     SCENARIOS,
     ExperimentConfig,
     apply_setting,
@@ -26,6 +26,7 @@ from csagg.metrics import stress
 from csagg.mobility import PelotonParams, simulate_race, velocities
 from csagg.protocol import CollectionResult
 from csagg.sparsity import Measurement
+from helpers import apply_setting_reference, config_lines_reference
 
 
 def _floats(**bounds):
@@ -156,6 +157,29 @@ class TestConfig:
         cfg = load_config(overrides=[f"{k}={v}" for k, v in settings_.items()])
         assert load_config(overrides=config_lines(cfg)) == cfg
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={**_SETTINGS, "out": st.text(max_size=8)}))
+    def test_config_lines_match_reference(self, settings_):
+        cfg = ExperimentConfig()
+        for key, value in settings_.items():
+            cfg = apply_setting(cfg, key, value)
+        assert config_lines(cfg) == config_lines_reference(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_apply_setting_matches_reference(self, data):
+        key = data.draw(st.sampled_from([*_SETTINGS, "out", "banana"]), label="key")
+        text = st.text(max_size=8)
+        value = data.draw(st.one_of(_SETTINGS.get(key, text), text), label="value")
+        outcomes = []
+        for apply in (apply_setting, apply_setting_reference):
+            try:
+                # repr, not ==, so that a nan field compares equal to itself
+                outcomes.append(repr(apply(ExperimentConfig(), key, value)))
+            except ConfigError:
+                outcomes.append("ConfigError")
+        assert outcomes[0] == outcomes[1]
+
     def test_config_lines_round_trip(self, tmp_path):
         cfg = load_config(None, ["scenario=matrix", "n=17", "loss_p=0.75", "seed=3"])
         path = tmp_path / "resolved.cfg"
@@ -202,9 +226,7 @@ class TestConfig:
             for line in table.strip().splitlines()
             for key in re.findall(r"`([a-z_]+)`", line.split("|")[1])
         }
-        printed = {line.split("=", 1)[0] for line in config_lines(replace(ExperimentConfig(), trace_path="t.csv"))}
-        assert printed <= documented, sorted(printed - documented)
-        assert "out" in documented
+        assert documented == set(KEYS), sorted(documented ^ set(KEYS))
 
 
 FAST = [
@@ -278,6 +300,18 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    # every key whose value must parse; scenario and graph_mode take any text
+    # and validate checks it, and trace and out are paths
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, "abc") for key in KEYS if key not in ("scenario", "graph_mode", "trace", "out")]
+        + [("check_aggregates", "maybe"), ("base_speed_profile", "")],
+    )
+    def test_unparseable_value_exits_2(self, tmp_path, capsys, key, value):
+        assert main(["routing", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+        assert f"bad value for {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, capsys):
         assert main(["matrix", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -313,6 +347,15 @@ class TestCli:
                 "--set", "k_neighbors=1"]
         assert main(args) == 2
         assert "line 3: non-finite s_m" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.csv", tmp_path):
+            args = ["routing", "--out", str(tmp_path / "out"), "--set", f"trace={path}"]
+            assert main(args) == 2
+            assert f"cannot read {path}" in capsys.readouterr().err
+            assert main(["stress", str(path), str(path)]) == 2
+            assert f"cannot read {path}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_k_neighbors_must_be_below_rider_count(self, tmp_path, capsys):

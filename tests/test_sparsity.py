@@ -104,6 +104,18 @@ class TestPairwiseL1:
         with pytest.raises(DimensionError):
             build_pairwise_l1(Measurement(np.eye(3), np.zeros(3)), ())
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [(((0, 1), (2, 1)), r"edge \(2,1\) invalid for n=3"),
+         (((1, 1),), r"edge \(1,1\) invalid for n=3"),
+         (((0, 1), (1, 3)), r"edge \(1,3\) invalid for n=3"),
+         (((-1, 2),), r"edge \(-1,2\) invalid for n=3"),
+         (((0, 1), (1, 2), (0, 1)), r"duplicate edge \(0,1\)")],
+    )
+    def test_bad_edge_named(self, edges, message):
+        with pytest.raises(DimensionError, match=message):
+            build_pairwise_l1(Measurement(np.eye(3), np.zeros(3)), edges)
+
     def test_exact_recovery_edge_constant(self):
         # connected graph + component-rank measurements force the truth exactly
         rng = np.random.default_rng(11)
