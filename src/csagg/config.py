@@ -11,12 +11,13 @@ finiteness check all read it, so a key is declared once.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .mobility import PelotonParams, SpeedProfile
+from .mobility import PelotonParams, SpeedProfile, read_utf8
 from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
@@ -51,6 +52,8 @@ class ExperimentConfig:
             value = _value(self, owner, field)
             if kind in (_FLOAT, _PROFILE) and not np.isfinite(value).all():
                 raise ConfigError(f"{key}={kind[1](value)} must be finite")
+        if not self.out_dir:
+            raise ConfigError("out must name a directory, got an empty value")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.graph_mode not in GRAPH_MODES:
@@ -192,18 +195,15 @@ def load_config(
     cfg = base if base is not None else ExperimentConfig()
     entries: list[tuple[str, str]] = []
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(f"{path}:{lineno}: expected key=value")
-                    key, value = line.split("=", 1)
-                    entries.append((key.strip(), value.strip()))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        text = io.StringIO(read_utf8(path, ConfigError), newline=None)
+        for lineno, raw in enumerate(text, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            entries.append((key.strip(), value.strip()))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")

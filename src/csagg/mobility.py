@@ -19,15 +19,16 @@ group speed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import IO
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DimensionError, TraceFormatError
+from .errors import ConfigError, CsaggError, DimensionError, TraceFormatError
 from .graph import RiderPositions
 
 SEPARATION_RADIUS_M = 1.5
@@ -120,31 +121,47 @@ class PelotonParams:
 
 def flocking_acceleration(pos: np.ndarray, vel: np.ndarray, params: PelotonParams) -> np.ndarray:
     """Cohesion, alignment and separation of every rider, (n, 2) m/s^2, each a
-    weighted sum over its neighbours, together clamped to +/-FLOCK_ACCEL_CLAMP."""
-    dist = cdist(pos, pos)
-    np.fill_diagonal(dist, np.inf)
-    nbr = dist <= params.neighbor_radius
-    counts = nbr.sum(axis=1, keepdims=True)
-    # row-normalised neighbour weights; a rider without neighbours has a
-    # zero row and has = 0, so its cohesion and alignment vanish
-    w = nbr / np.maximum(counts, 1)
-    has = counts > 0
-    # every term is a difference of positions; taken from the peloton's
-    # centre, they do not cancel road-scale coordinates (kilometres)
-    pos = pos - pos.mean(axis=0)
-    # cohesion: towards the neighbor centroid; alignment: towards the mean
-    # neighbor velocity. The products are einsum, which sums in one order on
-    # every CPU; BLAS `@` picks a kernel per CPU, and races simulated with
-    # two kernels part by millimetres
-    acc = params.cohesion_gain * (np.einsum("ij,jk->ik", w, pos) - has * pos)
-    acc += params.alignment_gain * (np.einsum("ij,jk->ik", w, vel) - has * vel)
-    # separation: repulsion inside SEPARATION_RADIUS_M with weight s_ij on
-    # pos_i - pos_j; on the infinite diagonal 0 is divided by inf
-    s = np.where(dist < SEPARATION_RADIUS_M, SEPARATION_RADIUS_M - dist, 0.0) / (
-        SEPARATION_RADIUS_M * np.maximum(dist, 1e-6)
+    weighted sum over its neighbours, together clamped to +/-FLOCK_ACCEL_CLAMP.
+
+    The neighbours come from one k-d tree pair search, so a frame costs
+    O(n * degree), not O(n^2)."""
+    n = len(pos)
+    # separation acts inside SEPARATION_RADIUS_M even when neighbor_radius is
+    # smaller. The search radius is padded so that no pair is lost to the
+    # tree's own rounding; the masks below select on sqrt(dx*dx + dy*dy), so
+    # each neighbour set is exactly `dist <= radius`, boundary included
+    reach = max(params.neighbor_radius, SEPARATION_RADIUS_M) * (1.0 + 1e-9)
+    a, b = cKDTree(pos).query_pairs(reach, output_type="ndarray").T
+    x, y = pos.T
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    dist = np.sqrt(dx * dx + dy * dy)
+    # every per-rider sum is a bincount over the pairs in both directions: a
+    # sequential loop, so the race is the same on every CPU
+    near = dist <= params.neighbor_radius
+    rows = np.concatenate([a[near], b[near]])
+    partners = np.concatenate([b[near], a[near]])
+    counts = np.bincount(rows, minlength=n)[:, None]
+    # cohesion: towards the neighbour centroid, with positions taken from the
+    # peloton's centre so that road-scale coordinates (kilometres) do not
+    # swamp the sums; alignment: towards the mean neighbour velocity. A rider
+    # without neighbours has zero sums and has = 0, so both vanish
+    centred = pos - pos.mean(axis=0)
+    sums = np.column_stack(
+        [np.bincount(rows, col[partners], n) for col in np.hstack([centred, vel]).T]
     )
-    repulsion = s.sum(axis=1, keepdims=True) * pos - np.einsum("ij,jk->ik", s, pos)
-    acc += params.separation_gain * repulsion
+    mean = sums / np.maximum(counts, 1)
+    has = counts > 0
+    acc = params.cohesion_gain * (mean[:, :2] - has * centred)
+    acc += params.alignment_gain * (mean[:, 2:] - has * vel)
+    # separation: repulsion inside SEPARATION_RADIUS_M with weight s on
+    # pos_a - pos_b for rider a and on pos_b - pos_a for rider b
+    close = dist < SEPARATION_RADIUS_M
+    d = dist[close]
+    s = (SEPARATION_RADIUS_M - d) / (SEPARATION_RADIUS_M * np.maximum(d, 1e-6))
+    pushed = np.concatenate([a[close], b[close]])
+    for k, dk in enumerate((dx[close], dy[close])):
+        push = s * dk
+        acc[:, k] += params.separation_gain * np.bincount(pushed, np.concatenate([push, -push]), n)
     return np.clip(acc, -FLOCK_ACCEL_CLAMP, FLOCK_ACCEL_CLAMP, out=acc)
 
 
@@ -203,6 +220,22 @@ def velocities(trace: RaceTrace) -> list[VelocityFrame]:
     return out
 
 
+def read_utf8(path: str, error: type[CsaggError]) -> str:
+    """The text of a UTF-8 file. A file that cannot be read raises `error`
+    naming it; one that is not UTF-8 raises it naming the file and the line of
+    the first byte that does not decode."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _csv_records(
     source: str | IO[str], header: tuple[str, ...], kinds: tuple[type, ...]
 ) -> Iterator[tuple[int, list]]:
@@ -210,15 +243,9 @@ def _csv_records(
     first line is `header`, each field parsed by its kind; blank lines are
     skipped. A wrong header, a wrong field count, a field that does not parse
     and a non-finite float raise TraceFormatError naming the line, and a file
-    that cannot be opened raises it naming the file."""
+    that cannot be read or is not UTF-8 raises it naming the file."""
     if isinstance(source, str):
-        try:
-            fh = open(source, newline="", encoding="utf-8")
-        except OSError as exc:
-            raise TraceFormatError(f"cannot read {source}: {exc}") from exc
-        with fh:
-            yield from _csv_records(fh, header, kinds)
-        return
+        source = io.StringIO(read_utf8(source, TraceFormatError), newline="")
     reader = csv.reader(source)
     first = next(reader, None)
     if first is None or tuple(c.strip() for c in first) != header:
@@ -286,7 +313,7 @@ def write_trace_csv(trace: RaceTrace, out: IO[str]) -> None:
     for frame in trace.frames:
         for rider in range(trace.n):
             s, d = frame.pos[rider]
-            out.write(f"{frame.time:.3f},{rider},{float(s)!r},{float(d)!r}\n")
+            out.write(f"{float(frame.time)!r},{rider},{float(s)!r},{float(d)!r}\n")
 
 
 def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:

@@ -358,6 +358,36 @@ class TestCli:
             assert f"cannot read {path}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spelling", [["--set", "out="], ["--out", ""]])
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        assert main(["routing", *spelling] + FAST) == 2
+        assert "out must name a directory" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    # bytes that are not UTF-8 on line 3 of each kind of input file
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("trace", b"time_s,rider_id,s_m,d_m\n0.0,0,0.0,0.0\n0.0,1,\xff\xfe,0.0\n"),
+            ("velocity", b"time_s,rider_id,v_mps\n0.000,0,10.0\n0.000,1,\xff\xfe\n"),
+            ("config", b"n=12\nsteps=2\nloss_p=\xff\xfe\n"),
+        ],
+        ids=["trace", "velocity", "config"],
+    )
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "input"
+        path.write_bytes(text)
+        out = ["--out", str(tmp_path / "out")]
+        args = {
+            "trace": ["routing", "--set", f"trace={path}", *out],
+            "velocity": ["stress", str(path), str(path)],
+            "config": ["routing", "--config", str(path), *out],
+        }[kind]
+        assert main(args) == 2
+        assert f"{path}: line 3: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_k_neighbors_must_be_below_rider_count(self, tmp_path, capsys):
         assert main(["matrix", "--out", str(tmp_path), "--set", "n=8", "--set", "k_neighbors=10",
                      "--set", "duration_s=5", "--set", "steps=2"]) == 2

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestSimulateRace:
 
 
 class TestSimulateMatchesReference:
-    """The matrix-product flocking step against the broadcast-sum oracle.
+    """The pair-list flocking step against the broadcast-sum oracle.
 
     Whole races are compared only where the flock is well conditioned: with
     separation on in a dense flock, or with alignment or cohesion gains that
@@ -132,16 +133,49 @@ class TestSimulateMatchesReference:
         separation_gain=st.floats(min_value=0.0, max_value=5.0),
         alignment_gain=st.floats(min_value=0.0, max_value=2.0),
         cohesion_gain=st.floats(min_value=0.0, max_value=1.0),
-        neighbor_radius=st.floats(min_value=0.1, max_value=30.0),
+        # radii below SEPARATION_RADIUS_M as well as above it
+        neighbor_radius=st.one_of(
+            st.floats(min_value=0.1, max_value=1.5), st.floats(min_value=0.1, max_value=30.0)
+        ),
+        grid=st.booleans(),
+        coincident=st.integers(min_value=0, max_value=5),
+        isolated=st.integers(min_value=0, max_value=3),
     )
-    def test_acceleration_matches_reference(self, n, length, offset, seed, **gains):
+    def test_acceleration_matches_reference(
+        self, n, length, offset, seed, grid, coincident, isolated, **gains
+    ):
         # a column of riders `length` metres long, `offset` metres down the road
         rng = np.random.default_rng(seed)
         pos = np.column_stack([offset + rng.uniform(0.0, length, n), rng.uniform(-5.0, 5.0, n)])
-        vel = np.column_stack([10.0 + 3.0 * rng.standard_normal(n), rng.standard_normal(n)])
+        if grid:
+            # integer positions and radius: many pairs sit exactly at the
+            # radius (3-4-5 offsets among them), where `dist <= radius` holds
+            pos = np.round(pos)
+            gains["neighbor_radius"] = float(max(1, round(gains["neighbor_radius"])))
+        # riders on top of another (d = 0), and riders far from everyone
+        k = min(coincident, n - 1)
+        pos[:k] = pos[n - k:]
+        far = [[offset + length + 100.0 * (m + 1), 0.0] for m in range(isolated)]
+        pos = np.vstack([pos, np.reshape(far, (-1, 2))])
+        m = len(pos)
+        vel = np.column_stack([10.0 + 3.0 * rng.standard_normal(m), rng.standard_normal(m)])
         params = PelotonParams(**gains)
         got = flocking_acceleration(pos, vel, params)
         assert np.abs(got - flocking_reference(pos, vel, params)).max() <= 1e-9
+
+    def test_one_frame_allocates_no_pair_matrix(self):
+        # 2,000 riders in a 3 km column: any (n, n) float array is 32 MB
+        rng = np.random.default_rng(1)
+        n = 2000
+        pos = np.column_stack([rng.uniform(0.0, 3000.0, n), rng.uniform(-4.0, 4.0, n)])
+        vel = np.column_stack([10.0 + 0.3 * rng.standard_normal(n), np.zeros(n)])
+        tracemalloc.start()
+        try:
+            flocking_acceleration(pos, vel, PelotonParams(n=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -236,15 +270,17 @@ class TestIngestTrace:
         with pytest.raises(TraceFormatError, match="line 1"):
             ingest_trace(io.StringIO("a,b,c,d\n"), dt=1.0)
 
-    def test_round_trip_through_writer(self):
-        trace = simulate_race(quiet_params(n=3, duration=5.0))
+    @pytest.mark.parametrize("dt", [1.0, 0.25, 0.0625, 0.1])
+    def test_round_trip_through_writer(self, dt):
+        trace = simulate_race(quiet_params(n=3, duration=5.0 * dt, dt=dt))
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         buf.seek(0)
-        back = ingest_trace(buf, dt=1.0)
+        back = ingest_trace(buf, dt=dt)
         assert back.n == trace.n
         assert len(back.frames) == len(trace.frames)
         for fa, fb in zip(trace.frames, back.frames):
+            assert fa.time == fb.time
             assert np.array_equal(fa.pos, fb.pos)  # repr round-trips exactly
 
 
