@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,30 @@ class NeighborGraph:
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise DimensionError(f"edge ({i},{j}) invalid for n={self.n}")
-            if (i, j) in seen:
-                raise DimensionError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
+        check_edges(edge_array(self.edges), self.n)
+
+
+def edge_array(edges) -> np.ndarray:
+    """The (i, j) pairs as an (m, 2) int64 array, each end truncated as by int()."""
+    return np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def check_edges(edges: np.ndarray, n: int) -> None:
+    """Raise DimensionError naming the first of the (m, 2) edges, in order,
+    that is not 0 <= i < j < n or that repeats an earlier edge."""
+    i, j = edges[:, 0], edges[:, 1]
+    invalid = ~((0 <= i) & (i < j) & (j < n))
+    # lexsort is stable, so each run of equal edges starts at its first
+    order = np.lexsort((j, i))
+    si, sj = i[order], j[order]
+    repeat = np.zeros(len(edges), dtype=bool)
+    repeat[order[1:][(si[1:] == si[:-1]) & (sj[1:] == sj[:-1])]] = True
+    bad = np.flatnonzero(invalid | repeat)
+    if bad.size:
+        a, b = edges[bad[0]].tolist()
+        if invalid[bad[0]]:
+            raise DimensionError(f"edge ({a},{b}) invalid for n={n}")
+        raise DimensionError(f"duplicate edge ({a},{b})")
 
 
 def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:

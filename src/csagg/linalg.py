@@ -11,6 +11,10 @@ solution carries the equality duals y, and is returned only with a primal
 and a dual certificate: z is feasible, every free variable's reduced cost
 c - G^T y vanishes, and c.z equals the dual objective of y. row_echelon
 reduces a linear system to its independent rows with the rank rule of rank.
+rank, least_squares and row_echelon share one economic column-pivoted QR
+per matrix: the last factorisation is kept, keyed on the matrix's shape,
+dtype and exact bytes, so a step that asks all three about its sink system
+factorises it once and gets the same factors it would have computed.
 """
 
 from __future__ import annotations
@@ -150,6 +154,25 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
     return LpSolution(LpStatus.OPTIMAL, z, float(res.fun), y)
 
 
+# (shape, dtype, bytes) of the last matrix factorised, and its read-only
+# (q, r, perm); a hit returns exactly what the same LAPACK call on the same
+# data computes again
+_last_qr: tuple = (None, None)
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economic column-pivoted QR a[:, perm] = q @ r, computed once per matrix."""
+    global _last_qr
+    key = (a.shape, a.dtype.str, a.tobytes())
+    cached_key, factors = _last_qr
+    if cached_key != key:
+        factors = _pivoted_qr(a, mode="economic", pivoting=True)
+        for f in factors:
+            f.setflags(write=False)
+        _last_qr = (key, factors)
+    return factors
+
+
 def least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """argmin ||a x - y||_2 via one column-pivoted Householder QR; requires
     full column rank under rank's rule (|r_jj| > RANK_RTOL * max|entry|)."""
@@ -160,7 +183,7 @@ def least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"rhs has length {y.shape}, expected ({m},)")
     if m < n:
         raise RankDeficientError(f"system is underdetermined: {m} rows, {n} cols")
-    q, r, perm = _pivoted_qr(a, mode="economic", pivoting=True)
+    q, r, perm = _qr(a)
     if _qr_rank(r, a) < n:
         raise RankDeficientError("matrix is numerically rank-deficient")
     x = np.empty(n)
@@ -185,7 +208,7 @@ def row_echelon(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if y.shape != (a.shape[0],):
         raise DimensionError(f"rhs has length {y.shape}, expected ({a.shape[0]},)")
-    q, r, perm = _pivoted_qr(a, mode="economic", pivoting=True)
+    q, r, perm = _qr(a)
     k = _qr_rank(r, a)
     r11 = r[:k, :k]
     b = np.zeros((k, a.shape[1]))
@@ -199,7 +222,7 @@ def rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    return _qr_rank(_pivoted_qr(a, mode="r", pivoting=True)[0], a)
+    return _qr_rank(_qr(a)[1], a)
 
 
 def dct_matrix(n: int) -> np.ndarray:

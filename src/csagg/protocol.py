@@ -9,6 +9,17 @@ result; a sum with a coefficient of cap_m or more would not fit the wire, so
 the sensor forwards its previous message instead. A sensor with more than
 cap_m - 1 messages in its inbox combines a uniform subsample of cap_m - 1.
 
+Each round r >= 2 is one signed mixing matrix M_r on the combination rows,
+R_r = M_r R_(r-1), with R_1 the identity. collect_timestep computes the
+first two rounds as matrices: round 1 is the identity and the readings, so
+no message is built for it, and round 2 mixes unit rows only, so every
+sensor's combination row is its own mixing row, no coefficient can reach
+cap_m >= 2 and no sensor forwards. M_2 comes from (row, col, sign) triples
+(unit_round_terms, mixing_matrix) and its aggregates are summed term by
+term, self first, as step_sensor sums them (mix_aggregates). Rounds 3 and
+later mix rows that are already sums, where a coefficient can overflow the
+cap and the sensor forwards; they step each sensor with step_sensor.
+
 The random draws are counter-based: draw j of sensor i in round r of step t
 is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j) turned into a
 uniform in [0, 1), so a sensor's draws depend on nothing but that key. Each
@@ -32,6 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, DimensionError, NumericalError
 from .graph import NeighborGraph
@@ -141,6 +153,74 @@ class SensorDraws:
     def integers(self, low: int, high: int, size: int) -> np.ndarray:
         """floor(low + u * (high - low)) for each of the next size uniforms u."""
         return np.floor(low + self._take(size) * (high - low)).astype(np.int64)
+
+
+def block_layout(inbox_sizes: np.ndarray, cap_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(subsample, signs): the uniforms step_sensor draws for each inbox size
+    m, m subsample uniforms when the inbox overflows the cap (m + 1 > cap_m)
+    and none otherwise, then one sign uniform per term, self first."""
+    m = np.asarray(inbox_sizes, dtype=np.int64)
+    return np.where(m + 1 > cap_m, m, 0), np.minimum(m, cap_m - 1) + 1
+
+
+def unit_round_terms(
+    senders: np.ndarray,
+    inbox_start: np.ndarray,
+    inbox_size: np.ndarray,
+    inbox_from: np.ndarray,
+    uniforms: np.ndarray,
+    cap_m: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, sign) triples of a round whose every input is a unit row.
+
+    Row k is senders[k]'s mixing row. Its inbox is inbox_from[inbox_start[k]
+    : inbox_start[k] + inbox_size[k]], the senders it heard in delivery
+    order, and its block of uniforms is the k-th of block_layout's, in order.
+    An inbox over the cap keeps the cap_m - 1 messages with the smallest of
+    the block's first inbox_size[k] uniforms, ties to the earlier one, in
+    inbox order. Each term draws the sign 2*floor(2u) - 1. The triples come
+    grouped by row, each row's terms self first and then the kept inbox:
+    step_sensor's draws and summation order.
+    """
+    subsample, signs = block_layout(inbox_size, cap_m)
+    block = np.cumsum(subsample + signs) - (subsample + signs)
+    # every inbox entry: its row, its place in the inbox and its sender
+    owner = np.repeat(np.arange(len(senders)), inbox_size)
+    place = np.arange(owner.size) - np.repeat(np.cumsum(inbox_size) - inbox_size, inbox_size)
+    heard = inbox_from[inbox_start[owner] + place]
+    drawn = np.flatnonzero(subsample[owner] > 0)
+    drawn_owner = owner[drawn]
+    u = uniforms[block[drawn_owner] + place[drawn]]
+    # by row, then by uniform, ties in inbox order: two stable sorts
+    by_u = np.argsort(u, kind="stable")
+    order = by_u[np.argsort(drawn_owner[by_u], kind="stable")]
+    grouped = drawn_owner[order]
+    kept = np.ones(owner.size, dtype=bool)
+    kept[drawn[order]] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap_m - 1
+
+    row = np.repeat(np.arange(len(senders)), signs)
+    term = np.arange(row.size) - np.repeat(np.cumsum(signs) - signs, signs)
+    col = np.empty(row.size, dtype=np.int64)
+    col[term == 0] = senders
+    col[term > 0] = heard[kept]
+    sign = 2 * np.floor(uniforms[block[row] + subsample[row] + term] * 2).astype(np.int64) - 1
+    return row, col, sign
+
+
+def mixing_matrix(row: np.ndarray, col: np.ndarray, sign: np.ndarray, shape: tuple[int, int]):
+    """The signed mixing matrix M with M[row[t], col[t]] = sign[t], as an
+    int64 scipy.sparse CSR array; repeated (row, col) pairs add up."""
+    return sparse.csr_array((sign.astype(np.int64), (row, col)), shape=shape)
+
+
+def mix_aggregates(
+    row: np.ndarray, col: np.ndarray, sign: np.ndarray, values: np.ndarray, size: int
+) -> np.ndarray:
+    """M @ values for the mixing matrix of the triples, each row summed one
+    term at a time from 0.0 in the triples' order, as step_sensor sums: a
+    pairwise or BLAS sum rounds differently."""
+    # bincount adds its weights one at a time, in order
+    return np.bincount(row, weights=sign * values[col], minlength=size)
 
 
 def plan_rounds(hops: np.ndarray) -> tuple[int, tuple[int, ...]]:
@@ -296,31 +376,43 @@ def collect_timestep(
     by_receiver = np.argsort(links[:, 1], kind="stable")
     to_riders = by_receiver[links[by_receiver, 1] < n]
 
-    states = []
-    broadcasts = []
-    for i in range(n):
-        state, msg = initial_state(i, n, readings[i], cap_m)
-        states.append(state)
-        broadcasts.append(msg)
-    senders = np.arange(n)  # the sensor behind each entry of broadcasts
-
-    rows_heard, values_heard = [], []
-    for rnd in range(1, rounds_total + 1):
-        if rnd > 1:
-            prev = deliveries[rnd - 2]
-            delivered = np.zeros(len(links), dtype=bool)
-            delivered[np.searchsorted(link_keys, prev[:, 0] * width + prev[:, 1])] = True
-            inbox_links = to_riders[delivered[to_riders]]
-            sizes = np.bincount(links[inbox_links, 1], minlength=n)
+    # round 1 is the identity: each sensor sends its reading with the unit
+    # row e_i, so the sinks' round-1 equations are the heard senders' e_i
+    rows_heard = [np.eye(n, dtype=np.int64)[heard[0]]]
+    values_heard = [readings[heard[0]]]
+    message_bits = payload_bits(n, cap_m)
+    states, broadcasts = [], []  # by sensor id, from round 2 on
+    for rnd in range(2, rounds_total + 1):
+        prev = deliveries[rnd - 2]
+        delivered = np.zeros(len(links), dtype=bool)
+        delivered[np.searchsorted(link_keys, prev[:, 0] * width + prev[:, 1])] = True
+        inbox_links = to_riders[delivered[to_riders]]
+        sizes = np.bincount(links[inbox_links, 1], minlength=n)
+        inbox_start = np.cumsum(sizes) - sizes
+        inbox_from = links[inbox_links, 0]
+        senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
+        # a block holds exactly the uniforms step_sensor draws
+        subsample, signs = block_layout(sizes[senders], cap_m)
+        uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, subsample + signs)
+        if rnd == 2:
+            # every input is a unit row, so each sensor's new row is its row
+            # of M_2, whose +/-1 entries never reach cap_m >= 2
+            terms = unit_round_terms(
+                senders, inbox_start[senders], sizes[senders], inbox_from, uniforms, cap_m
+            )
+            rows = mixing_matrix(*terms, (len(senders), n)).toarray()
+            aggregates = mix_aggregates(*terms, readings, len(senders))
+            states = [
+                SensorState(id=i, round=2, coeff_row=row, aggregate=value, mix_rows=(row,))
+                for i, row, value in zip(senders.tolist(), rows, aggregates.tolist())
+            ]
+            broadcasts = [
+                AggregateMessage(s.id, 2, s.coeff_row, s.aggregate, message_bits) for s in states
+            ]
+        else:
             inbox_bounds = [0, *np.cumsum(sizes).tolist()]
-            inbox_msgs = [broadcasts[s] for s in links[inbox_links, 0].tolist()]
-            senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
-            # a block holds exactly the uniforms step_sensor draws: a
-            # subsample of an inbox over the cap, then one sign per term
-            m = sizes[senders]
-            counts = np.where(m + 1 > cap_m, m, 0) + np.minimum(m, cap_m - 1) + 1
-            uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, counts)
-            block_bounds = [0, *np.cumsum(counts).tolist()]
+            inbox_msgs = [broadcasts[s] for s in inbox_from.tolist()]
+            block_bounds = [0, *np.cumsum(subsample + signs).tolist()]
             next_states, next_broadcasts = [], []
             for k, i in enumerate(senders.tolist()):
                 draws = SensorDraws(uniforms[block_bounds[k] : block_bounds[k + 1]])
@@ -329,8 +421,8 @@ def collect_timestep(
                 next_states.append(state)
                 next_broadcasts.append(msg)
             states, broadcasts = next_states, next_broadcasts
-        rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64).reshape(-1, n)
-        aggregates = np.array([msg.aggregate for msg in broadcasts], dtype=float)
+            rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64).reshape(-1, n)
+            aggregates = np.array([msg.aggregate for msg in broadcasts], dtype=float)
         if check_aggregates is not None:
             err = np.abs(aggregates - rows @ readings)
             bad = np.flatnonzero(err > check_aggregates)
@@ -349,5 +441,5 @@ def collect_timestep(
         rounds_used=rounds_total,
         uncoverable=uncoverable,
         message_count=n * rounds_total,
-        mean_payload_bits=float(payload_bits(n, cap_m)),
+        mean_payload_bits=float(message_bits),
     )

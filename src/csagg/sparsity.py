@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .graph import NeighborGraph
+from .graph import check_edges, edge_array
 from .linalg import LpProblem, LpSolution, LpStatus, row_echelon
 
 # decode_consistent: ||A X - Y||_inf may reach this times max(1, ||Y||_inf)
@@ -99,13 +99,13 @@ def build_basis_l1(meas: Measurement, basis: np.ndarray) -> LpProblem:
 def pairwise_difference_operator(edges: EdgeList, n: int) -> np.ndarray:
     """(|E|, n) operator mapping X to (x_i - x_j) over the edges, i < j; the
     edges are checked as a NeighborGraph's."""
-    edges = NeighborGraph(n, tuple((int(i), int(j)) for i, j in edges)).edges
-    if not edges:
+    e = edge_array(edges)
+    check_edges(e, n)
+    if not len(e):
         raise DimensionError("edge list is empty: the objective would be void")
-    t = np.zeros((len(edges), n))
-    for e, (i, j) in enumerate(edges):
-        t[e, i] = 1.0
-        t[e, j] = -1.0
+    t = np.zeros((len(e), n))
+    t[np.arange(len(e)), e[:, 0]] = 1.0
+    t[np.arange(len(e)), e[:, 1]] = -1.0
     return t
 
 

@@ -7,6 +7,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from csagg.graph import NeighborGraph, RiderPositions
 from csagg.mobility import (
@@ -421,6 +422,43 @@ def knn_reference(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
         for j in np.argsort(dist[i], kind="stable")[:k_neighbors]:
             edges.add((min(i, int(j)), max(i, int(j))))
     return NeighborGraph(n=n, edges=tuple(sorted(edges)))
+
+
+@st.composite
+def edge_lists(draw, n: int) -> tuple[tuple[int, int], ...]:
+    """Edges i < j of an n-vertex graph, repeats allowed, and in half of the
+    lists one more (i, j) with both ends in -1..n at a random place."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    if draw(st.booleans()):
+        end = st.integers(-1, n)
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.tuples(end, end)))
+    return tuple(edges)
+
+
+def edges_check_reference(edges, n: int) -> None:
+    """NeighborGraph's edge check one edge at a time: the first edge that is
+    not 0 <= i < j < n, or that was seen before, raises DimensionError."""
+    seen = set()
+    for i, j in edges:
+        if not (0 <= i < j < n):
+            raise DimensionError(f"edge ({i},{j}) invalid for n={n}")
+        if (i, j) in seen:
+            raise DimensionError(f"duplicate edge ({i},{j})")
+        seen.add((i, j))
+
+
+def pairwise_difference_reference(edges, n: int) -> np.ndarray:
+    """The (|E|, n) difference operator, checked and filled one edge at a time."""
+    edges = [(int(i), int(j)) for i, j in edges]
+    edges_check_reference(edges, n)
+    if not edges:
+        raise DimensionError("edge list is empty: the objective would be void")
+    t = np.zeros((len(edges), n))
+    for e, (i, j) in enumerate(edges):
+        t[e, i] = 1.0
+        t[e, j] = -1.0
+    return t
 
 
 def components_reference(graph: NeighborGraph) -> list[list[int]]:

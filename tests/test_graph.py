@@ -11,7 +11,7 @@ from csagg.graph import (
     knn_graph,
 )
 
-from helpers import components_reference, knn_reference
+from helpers import components_reference, edge_lists, edges_check_reference, knn_reference
 
 
 def _positions(data, max_n=40):
@@ -110,3 +110,19 @@ class TestNeighborGraph:
             NeighborGraph(n=3, edges=((0, 3),))
         with pytest.raises(DimensionError):
             NeighborGraph(n=3, edges=((1, 1),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edge_check_matches_reference(self, data):
+        # out-of-range, reversed, self and repeated edges in any order: the
+        # same edge is named, or both accept
+        n = data.draw(st.integers(0, 12), label="n")
+        edges = data.draw(edge_lists(n), label="edges")
+        try:
+            edges_check_reference(edges, n)
+        except DimensionError as want:
+            with pytest.raises(DimensionError) as got:
+                NeighborGraph(n=n, edges=edges)
+            assert str(got.value) == str(want)
+        else:
+            assert NeighborGraph(n=n, edges=edges).edges == edges

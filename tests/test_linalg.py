@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 
 from types import SimpleNamespace
 
@@ -228,6 +229,53 @@ class TestRank:
     def test_empty_and_zero(self):
         assert rank(np.zeros((0, 3))) == 0
         assert rank(np.zeros((2, 2))) == 0
+
+
+class TestSharedQr:
+    def test_one_factorisation_per_matrix(self, monkeypatch):
+        # a determined step asks rank, least_squares and rank again about
+        # one sink system; an LP step asks rank, row_echelon and rank
+        calls = []
+
+        def counting(a, **kwargs):
+            calls.append(a.shape)
+            return scipy.linalg.qr(a, **kwargs)
+
+        monkeypatch.setattr(csagg.linalg, "_pivoted_qr", counting)
+        a = np.random.default_rng(1).integers(-2, 3, (9, 5)).astype(float)
+        rank(a), least_squares(a, np.ones(9)), rank(a.copy())
+        assert calls == [(9, 5)]
+        rank(a[:4]), row_echelon(a[:4], np.ones(4)), rank(a[:4])
+        assert calls == [(9, 5), (4, 5)]
+
+    def test_other_or_changed_matrix_factorised_afresh(self, monkeypatch):
+        # another matrix, the same bytes in another shape, or the same array
+        # changed in place: each gets exactly what a cold call computes
+        def cold(call, *args):
+            monkeypatch.setattr(csagg.linalg, "_last_qr", (None, None))
+            return call(*args)
+
+        def same_bits(got, want):
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        rng = np.random.default_rng(2)
+        a = rng.integers(-2, 3, (6, 4)).astype(float)
+        y = rng.standard_normal(6)
+        x = least_squares(a, y)
+        assert rank(a) == 4
+        b = a.copy()
+        b[0, 0] += 1.0
+        x_b = least_squares(b, y)
+        assert same_bits(x_b, cold(least_squares, b, y)) and not same_bits(x_b, x)
+        a[:, 3] = a[:, 0]
+        assert rank(a) == 3 == cold(rank, a)
+        for got, want in zip(row_echelon(a, y), cold(row_echelon, a, y)):
+            assert same_bits(got, want)
+        wide = a.reshape(4, 6)
+        assert rank(wide) == cold(rank, wide)
+        for got, want in zip(row_echelon(wide, y[:4]), cold(row_echelon, wide, y[:4])):
+            assert same_bits(got, want)
 
 
 class TestRowEchelon:

@@ -15,13 +15,17 @@ from csagg.protocol import (
     AggregateMessage,
     SensorDraws,
     SensorState,
+    block_layout,
     collect_timestep,
     initial_state,
+    mix_aggregates,
+    mixing_matrix,
     payload_bits,
     plan_rounds,
     reconstruct,
     sensor_uniforms,
     step_sensor,
+    unit_round_terms,
 )
 from csagg.radio import RadioParams, compute_reachability, in_range_links, place_sinks
 from csagg.sparsity import Measurement
@@ -272,6 +276,61 @@ class TestStepSensor:
         assert forwards > 0
 
 
+class TestUnitRound:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_step_sensor_on_the_same_blocks(self, data):
+        # round 2: every sensor holds e_i and hears unit-row messages over
+        # lossy links. Each row of M_2 must be the row, mixing row and
+        # aggregate step_sensor gives on the same block, which it reads whole
+        n = data.draw(st.integers(1, 40), label="n")
+        cap_m = data.draw(st.integers(2, 64), label="cap_m")
+        layout = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+        keep_p = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]), label="delivered share")
+        readings = layout.uniform(-50.0, 50.0, n)
+        _, first = zip(*(initial_state(i, n, readings[i], cap_m) for i in range(n)))
+        inboxes = [[j for j in range(n) if j != i and layout.random() < keep_p] for i in range(n)]
+        senders = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1), label="senders"),
+            dtype=np.int64,
+        )
+        if data.draw(st.booleans(), label="all step"):
+            senders = np.arange(n)
+        senders.sort()
+        sizes = np.array([len(inbox) for inbox in inboxes], dtype=np.int64)
+        inbox_from = np.array([j for inbox in inboxes for j in inbox], dtype=np.int64)
+        subsample, signs = block_layout(sizes[senders], cap_m)
+        counts = subsample + signs
+        uniforms = sensor_uniforms(data.draw(st.integers(0, 2**64 - 1), label="seed"), 7, 1, senders, counts)
+
+        terms = unit_round_terms(
+            senders, (np.cumsum(sizes) - sizes)[senders], sizes[senders], inbox_from, uniforms, cap_m
+        )
+        rows = mixing_matrix(*terms, (len(senders), n)).toarray()
+        aggregates = mix_aggregates(*terms, readings, len(senders))
+        assert rows.dtype == np.int64
+        bounds = np.cumsum(counts) - counts
+        for k, i in enumerate(senders.tolist()):
+            state, _ = initial_state(i, n, readings[i], cap_m)
+            draws = SensorDraws(uniforms[bounds[k] : bounds[k] + counts[k]])
+            want_state, want = step_sensor(state, [first[j] for j in inboxes[i]], draws, cap_m)
+            with pytest.raises(IndexError):
+                draws.integers(0, 2, size=1)
+            assert np.array_equal(rows[k], want.coeff_row)
+            assert np.array_equal(rows[k], want_state.mix_rows[0])
+            assert np.float64(aggregates[k]).tobytes() == np.float64(want.aggregate).tobytes()
+
+    def test_mixing_matrix_adds_repeated_entries(self):
+        m = mixing_matrix(np.array([0, 0, 1]), np.array([2, 2, 0]), np.array([1, 1, -1]), (2, 3))
+        assert m.toarray().tolist() == [[0, 0, 2], [-1, 0, 0]]
+
+    def test_aggregates_are_summed_in_term_order(self):
+        # 1 + 1e16 - 1e16 is 0.0 left to right, 1.0 right to left
+        values = np.array([1e16, 1.0])
+        row, col, sign = np.array([0, 0, 0, 1]), np.array([1, 0, 0, 1]), np.array([1, 1, -1, -1])
+        assert mix_aggregates(row, col, sign, values, 3).tolist() == [0.0, -1.0, 0.0]
+
+
 def _equation_keys(system: Measurement) -> set[tuple[bytes, float]]:
     return {(row.tobytes(), value) for row, value in zip(system.rows, system.values.tolist())}
 
@@ -447,8 +506,24 @@ class TestCollectTimestep:
     @pytest.mark.parametrize("cap_m", [8, DEFAULT_CAP])
     def test_each_block_holds_exactly_the_draws_of_its_step(self, monkeypatch, cap_m):
         # at cap_m=8 most inboxes are subsampled, at the default cap none is;
-        # a block left with an unused uniform would let a later layout drift
-        steps = []
+        # a block left with an unused uniform would let a later layout drift.
+        # Round 2 is one matrix: it must read each of its uniforms once.
+        # Later rounds step each sensor, which must empty its block
+        round_two, steps = {}, []
+
+        class Logged(np.ndarray):
+            def __getitem__(self, key):
+                self.read.append(np.arange(len(self))[key])
+                return np.asarray(self)[key]
+
+        def logging_uniforms(seed, step_index, round_index, sensors, counts):
+            u = sensor_uniforms(seed, step_index, round_index, sensors, counts)
+            if round_index != 1:
+                return u
+            round_two.update(size=len(u), subsampled=int(np.sum(counts > cap_m)))
+            logged = u.view(Logged)
+            logged.read = round_two.setdefault("read", [])
+            return logged
 
         def exhausting(state, inbox, rng, cap_m):
             out = step_sensor(state, inbox, rng, cap_m)
@@ -457,21 +532,25 @@ class TestCollectTimestep:
             steps.append(len(inbox) + 1 > cap_m)
             return out
 
+        monkeypatch.setattr(protocol, "sensor_uniforms", logging_uniforms)
         monkeypatch.setattr(protocol, "step_sensor", exhausting)
         readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=4, range_m=20.0)
         collect_timestep(readings, pos, sinks, radio, cap_m=cap_m, step_index=2)
-        assert len(steps) == 94
-        assert sum(steps) == (59 if cap_m == 8 else 0)
+        read = np.sort(np.concatenate(round_two["read"]))
+        assert np.array_equal(read, np.arange(round_two["size"]))
+        # 94 sensor steps: 40 in round 2, 54 in rounds 3 and 4
+        assert len(steps) == 54
+        assert round_two["subsampled"] + sum(steps) == (59 if cap_m == 8 else 0)
 
     def test_check_aggregates_names_sensor_and_round(self, monkeypatch):
         # sensors 5 and 7 send wrong round-2 aggregates; the first is named
-        def drifting(state, inbox, rng, cap_m):
-            new_state, msg = step_sensor(state, inbox, rng, cap_m)
-            if state.id in (5, 7) and msg.round == 2:
-                msg = AggregateMessage(msg.sender, msg.round, msg.coeff_row, msg.aggregate + 1e-6, msg.payload_bits)
-            return new_state, msg
+        def drifting(row, col, sign, values, size):
+            out = mix_aggregates(row, col, sign, values, size)
+            own = col[np.searchsorted(row, np.arange(size))]  # each row's first term
+            out[np.isin(own, (5, 7))] += 1e-6
+            return out
 
-        monkeypatch.setattr(protocol, "step_sensor", drifting)
+        monkeypatch.setattr(protocol, "mix_aggregates", drifting)
         readings, pos, sinks, radio = self._scenario()
         collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-5)
         with pytest.raises(NumericalError, match=r"sensor 5, round 2"):
@@ -483,36 +562,48 @@ class TestCollectTimestep:
         return np.unique(delivered[delivered[:, 1] >= pos.n, 0]).tolist()
 
     def _recording_steps(self, monkeypatch):
-        calls = []
+        """(round, sensor) of every step_sensor call, and the shape of every
+        mixing matrix built."""
+        calls, matrices = [], []
 
         def recording(state, inbox, rng, cap_m):
             calls.append((state.round + 1, state.id))
             return step_sensor(state, inbox, rng, cap_m)
 
+        def recording_matrix(row, col, sign, shape):
+            matrices.append(shape)
+            return mixing_matrix(row, col, sign, shape)
+
         monkeypatch.setattr(protocol, "step_sensor", recording)
-        return calls
+        monkeypatch.setattr(protocol, "mixing_matrix", recording_matrix)
+        return calls, matrices
 
     def test_last_round_steps_only_senders_a_sink_hears(self, monkeypatch):
-        calls = self._recording_steps(monkeypatch)
+        calls, matrices = self._recording_steps(monkeypatch)
         readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=5)
         result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
         last = result.rounds_used
         heard = self._last_round_heard(pos, sinks, radio, last)
         assert 0 < len(heard) < 40
-        for rnd in range(2, last):
+        # round 2 is one mixing matrix over every sensor, not 40 steps
+        assert matrices == [(40, 40)]
+        assert all(r >= 3 for r, _ in calls)
+        for rnd in range(3, last):
             assert [i for r, i in calls if r == rnd] == list(range(40))
         assert [i for r, i in calls if r == last] == heard
 
     @pytest.mark.parametrize("sinks", [np.zeros((0, 2)), np.array([[1e4, 0.0], [-1e4, 0.0]])])
     def test_no_sink_hears_anyone(self, monkeypatch, sinks):
-        calls = self._recording_steps(monkeypatch)
+        calls, matrices = self._recording_steps(monkeypatch)
         readings, pos, _, radio = self._scenario()
         result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
         assert result.system.k == 0
         assert result.system.rows.shape == (0, 40)
         assert len(result.uncoverable) == 40
         assert result.rounds_used == 3
-        assert {r for r, _ in calls} == {2}
+        # round 2 mixes every sensor; round 3, the last, steps no one
+        assert matrices == [(40, 40)]
+        assert calls == []
 
     def test_check_aggregates_names_a_last_round_sensor(self, monkeypatch):
         # the last round computes only the heard senders; the error still

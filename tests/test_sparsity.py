@@ -19,7 +19,14 @@ from csagg.sparsity import (
     decode_solution,
     pairwise_difference_operator,
 )
-from helpers import bernoulli_matrix, split_residual_abs_lp, standard_form_abs_lp, unreduced_abs_bound_lp
+from helpers import (
+    bernoulli_matrix,
+    edge_lists,
+    pairwise_difference_reference,
+    split_residual_abs_lp,
+    standard_form_abs_lp,
+    unreduced_abs_bound_lp,
+)
 
 
 def recover(problem, n):
@@ -115,6 +122,23 @@ class TestPairwiseL1:
     def test_bad_edge_named(self, edges, message):
         with pytest.raises(DimensionError, match=message):
             build_pairwise_l1(Measurement(np.eye(3), np.zeros(3)), edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_difference_operator_matches_reference(self, data):
+        # numpy integer edges as from an index array, bad and repeated ones
+        # among them: the same operator, or the same edge named
+        n = data.draw(st.integers(1, 12), label="n")
+        edges = data.draw(edge_lists(n), label="edges")
+        edges = tuple(tuple(np.int64(v) for v in e) for e in edges)
+        try:
+            want = pairwise_difference_reference(edges, n)
+        except DimensionError as error:
+            with pytest.raises(DimensionError) as got:
+                pairwise_difference_operator(edges, n)
+            assert str(got.value) == str(error)
+        else:
+            assert np.array_equal(pairwise_difference_operator(edges, n), want)
 
     def test_exact_recovery_edge_constant(self):
         # connected graph + component-rank measurements force the truth exactly
