@@ -18,7 +18,12 @@ cap_m >= 2 and no sensor forwards. M_2 comes from (row, col, sign) triples
 (unit_round_terms, mixing_matrix) and its aggregates are summed term by
 term, self first, as step_sensor sums them (mix_aggregates). Rounds 3 and
 later mix rows that are already sums, where a coefficient can overflow the
-cap and the sensor forwards; they step each sensor with step_sensor.
+cap and the sensor forwards; they step each sensor with step_sensor, so
+round 2 builds state and message objects only for the sensors round 3
+steps and the messages those read. Everything around the sensor steps is
+whole-array: a round's deliveries become the inboxes and the heard senders
+through one who-heard-whom table (receptions), and each over-cap inbox's
+subsample is one np.partition (unit_round_terms).
 
 The random draws are counter-based: draw j of sensor i in round r of step t
 is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j) turned into a
@@ -163,6 +168,12 @@ def block_layout(inbox_sizes: np.ndarray, cap_m: int) -> tuple[np.ndarray, np.nd
     return np.where(m + 1 > cap_m, m, 0), np.minimum(m, cap_m - 1) + 1
 
 
+def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + sizes[k] - 1 for each k in
+    turn, concatenated."""
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
 def unit_round_terms(
     senders: np.ndarray,
     inbox_start: np.ndarray,
@@ -184,26 +195,33 @@ def unit_round_terms(
     """
     subsample, signs = block_layout(inbox_size, cap_m)
     block = np.cumsum(subsample + signs) - (subsample + signs)
-    # every inbox entry: its row, its place in the inbox and its sender
-    owner = np.repeat(np.arange(len(senders)), inbox_size)
-    place = np.arange(owner.size) - np.repeat(np.cumsum(inbox_size) - inbox_size, inbox_size)
-    heard = inbox_from[inbox_start[owner] + place]
-    drawn = np.flatnonzero(subsample[owner] > 0)
-    drawn_owner = owner[drawn]
-    u = uniforms[block[drawn_owner] + place[drawn]]
-    # by row, then by uniform, ties in inbox order: two stable sorts
-    by_u = np.argsort(u, kind="stable")
-    order = by_u[np.argsort(drawn_owner[by_u], kind="stable")]
-    grouped = drawn_owner[order]
-    kept = np.ones(owner.size, dtype=bool)
-    kept[drawn[order]] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap_m - 1
+    heard = inbox_from[ranges(inbox_start, inbox_size)]
+    kept = np.ones(heard.size, dtype=bool)
+    over = subsample > 0
+    if over.any():
+        # the over-cap inboxes' uniforms in a table, one row per inbox and
+        # +inf past its end; each row keeps everything below its
+        # (cap_m - 1)-th smallest, then its earliest slots at exactly that value
+        size = inbox_size[over]
+        width = size.max()
+        slot = ranges(np.arange(size.size) * width, size)
+        table = np.full((size.size, width), np.inf)
+        table.ravel()[slot] = uniforms[ranges(block[over], size)]
+        kth = np.partition(table, cap_m - 2, axis=1)[:, cap_m - 2 : cap_m - 1]
+        below = table < kth
+        tied = table == kth
+        room = cap_m - 1 - below.sum(axis=1, keepdims=True)
+        chosen = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        kept[np.repeat(over, inbox_size)] = chosen.ravel()[slot]
 
     row = np.repeat(np.arange(len(senders)), signs)
-    term = np.arange(row.size) - np.repeat(np.cumsum(signs) - signs, signs)
+    own = np.zeros(row.size, dtype=bool)
+    own[np.cumsum(signs) - signs] = True
     col = np.empty(row.size, dtype=np.int64)
-    col[term == 0] = senders
-    col[term > 0] = heard[kept]
-    sign = 2 * np.floor(uniforms[block[row] + subsample[row] + term] * 2).astype(np.int64) - 1
+    col[own] = senders
+    col[~own] = heard[kept]
+    # 2*floor(2u) - 1 is +1 exactly when u >= 0.5
+    sign = np.where(uniforms[ranges(block + subsample, signs)] >= 0.5, 1, -1)
     return row, col, sign
 
 
@@ -326,14 +344,52 @@ class CollectionResult:
     mean_payload_bits: float
 
 
+def _equation_hashes(key: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of the int64 table: the row's entries
+    weighted by one splitmix64 constant per column, summed modulo 2**64."""
+    return key.view(np.uint64) @ _splitmix64(np.arange(key.shape[1], dtype=np.uint64))
+
+
 def _first_equations(rows: np.ndarray, values: np.ndarray) -> Measurement:
     """The equations in order, each exact (row, value) duplicate dropped after
     its first occurrence. Adding 0.0 turns -0.0 into 0.0, so values compare
-    as with ==; each equation is compared as one opaque record of its bytes."""
+    as with ==; two equations are equal when all their bytes are.
+
+    A stable sort by hash puts each equation after every earlier one with
+    the same hash. Each run of equal hashes keeps its first equation and
+    compares the others with it entry by entry: an equal one is a duplicate,
+    and an unequal one, a hash collision, goes to the next pass with the
+    other unequal ones.
+    """
     key = np.column_stack([rows, (values + 0.0).view(np.int64)])
-    records = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
-    first = np.sort(np.unique(records, return_index=True)[1])
-    return Measurement(rows[first], values[first])
+    hashes = _equation_hashes(key)
+    keep = np.ones(len(key), dtype=bool)
+    pending = np.argsort(hashes, kind="stable")
+    while pending.size:
+        sorted_hashes = hashes[pending]
+        later = np.r_[False, sorted_hashes[1:] == sorted_hashes[:-1]]
+        first = pending[~later][np.cumsum(~later) - 1]
+        pending, first = pending[later], first[later]
+        same = (key[pending] == key[first]).all(axis=1)
+        keep[pending[same]] = False
+        pending = pending[~same]
+    return Measurement(rows[keep], values[keep])
+
+
+def receptions(delivered: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(heard, sizes, inbox_from) of one round's delivered (sender, receiver)
+    pairs: the senders some sink hears, in id order; each rider's inbox
+    size; and the senders in the inboxes, receiver by receiver, each inbox
+    in sender order, which is delivery order.
+
+    One boolean table holds who heard whom, a row per receiving rider and
+    one row for all sinks together; its set entries, read in order, are the
+    inboxes.
+    """
+    heard_by = np.zeros((n + 1, n), dtype=bool)
+    heard_by.ravel()[np.minimum(delivered[:, 1], n) * n + delivered[:, 0]] = True
+    entries = np.flatnonzero(heard_by[:n])
+    return np.flatnonzero(heard_by[n]), np.bincount(entries // n, minlength=n), entries % n
 
 
 def collect_timestep(
@@ -362,67 +418,62 @@ def collect_timestep(
     links = in_range_links(positions, sinks, radio.range_m)
     hops = hop_distance_to_sinks(links, n)
     rounds_total, uncoverable = plan_rounds(hops)
-    deliveries = [
-        compute_reachability(links, positions.time, radio, rnd).delivered
+    heard, inbox_sizes, inbox_senders = zip(*(
+        receptions(compute_reachability(links, positions.time, radio, rnd).delivered, n)
         for rnd in range(1, rounds_total + 1)
-    ]
-    # the senders each round's sinks hear
-    heard = [np.unique(d[d[:, 1] >= n, 0]) for d in deliveries]
-    # every round delivers a subset of the links in the links' order, so the
-    # rider-to-rider links, sorted by receiver once and stably, give each
-    # round's inboxes (senders in delivery order) as a mask
-    width = int(links.max(initial=0)) + 1
-    link_keys = links[:, 0] * width + links[:, 1]
-    by_receiver = np.argsort(links[:, 1], kind="stable")
-    to_riders = by_receiver[links[by_receiver, 1] < n]
+    ))
+
+    def stepped(rnd):
+        """Round rnd's stepped sensors, the sizes and starts of their inboxes
+        (the inboxes filled in round rnd - 1), and all inboxes' senders."""
+        senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
+        sizes = inbox_sizes[rnd - 2]
+        return senders, sizes[senders], (np.cumsum(sizes) - sizes)[senders], inbox_senders[rnd - 2]
 
     # round 1 is the identity: each sensor sends its reading with the unit
     # row e_i, so the sinks' round-1 equations are the heard senders' e_i
     rows_heard = [np.eye(n, dtype=np.int64)[heard[0]]]
     values_heard = [readings[heard[0]]]
     message_bits = payload_bits(n, cap_m)
-    states, broadcasts = [], []  # by sensor id, from round 2 on
     for rnd in range(2, rounds_total + 1):
-        prev = deliveries[rnd - 2]
-        delivered = np.zeros(len(links), dtype=bool)
-        delivered[np.searchsorted(link_keys, prev[:, 0] * width + prev[:, 1])] = True
-        inbox_links = to_riders[delivered[to_riders]]
-        sizes = np.bincount(links[inbox_links, 1], minlength=n)
-        inbox_start = np.cumsum(sizes) - sizes
-        inbox_from = links[inbox_links, 0]
-        senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
+        senders, sizes, starts, inbox_from = stepped(rnd)
         # a block holds exactly the uniforms step_sensor draws
-        subsample, signs = block_layout(sizes[senders], cap_m)
+        subsample, signs = block_layout(sizes, cap_m)
         uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, subsample + signs)
         if rnd == 2:
             # every input is a unit row, so each sensor's new row is its row
             # of M_2, whose +/-1 entries never reach cap_m >= 2
-            terms = unit_round_terms(
-                senders, inbox_start[senders], sizes[senders], inbox_from, uniforms, cap_m
-            )
-            rows = mixing_matrix(*terms, (len(senders), n)).toarray()
-            aggregates = mix_aggregates(*terms, readings, len(senders))
-            states = [
-                SensorState(id=i, round=2, coeff_row=row, aggregate=value, mix_rows=(row,))
-                for i, row, value in zip(senders.tolist(), rows, aggregates.tolist())
-            ]
-            broadcasts = [
-                AggregateMessage(s.id, 2, s.coeff_row, s.aggregate, message_bits) for s in states
-            ]
+            terms = unit_round_terms(senders, starts, sizes, inbox_from, uniforms, cap_m)
+            rows = mixing_matrix(*terms, (n, n)).toarray()
+            aggregates = mix_aggregates(*terms, readings, n)
+            # objects only for round 3's senders and the messages they read
+            next_senders, next_sizes, next_starts, next_from = stepped(3)
+            read = np.zeros(n, dtype=bool)
+            read[next_from[ranges(next_starts, next_sizes)]] = True
+            values = aggregates.tolist()
+            states = {
+                i: SensorState(i, 2, rows[i], values[i], mix_rows=(rows[i],))
+                for i in next_senders.tolist()
+            }
+            broadcasts = {
+                i: AggregateMessage(i, 2, rows[i], values[i], message_bits)
+                for i in np.flatnonzero(read).tolist()
+            }
         else:
+            inbox_msgs = [broadcasts[j] for j in inbox_from[ranges(starts, sizes)].tolist()]
             inbox_bounds = [0, *np.cumsum(sizes).tolist()]
-            inbox_msgs = [broadcasts[s] for s in inbox_from.tolist()]
             block_bounds = [0, *np.cumsum(subsample + signs).tolist()]
-            next_states, next_broadcasts = [], []
+            next_states, sent = [], []
             for k, i in enumerate(senders.tolist()):
                 draws = SensorDraws(uniforms[block_bounds[k] : block_bounds[k + 1]])
-                inbox = inbox_msgs[inbox_bounds[i] : inbox_bounds[i + 1]]
+                inbox = inbox_msgs[inbox_bounds[k] : inbox_bounds[k + 1]]
                 state, msg = step_sensor(states[i], inbox, draws, cap_m)
                 next_states.append(state)
-                next_broadcasts.append(msg)
-            states, broadcasts = next_states, next_broadcasts
-            rows = np.array([msg.coeff_row for msg in broadcasts], dtype=np.int64).reshape(-1, n)
-            aggregates = np.array([msg.aggregate for msg in broadcasts], dtype=float)
+                sent.append(msg)
+            states = dict(zip(senders.tolist(), next_states))
+            broadcasts = dict(zip(senders.tolist(), sent))
+            rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)
+            aggregates = np.array([msg.aggregate for msg in sent], dtype=float)
         if check_aggregates is not None:
             err = np.abs(aggregates - rows @ readings)
             bad = np.flatnonzero(err > check_aggregates)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
@@ -105,8 +103,24 @@ def compute_reachability(
 def hop_distance_to_sinks(links: np.ndarray, n: int) -> np.ndarray:
     """BFS hop count from each of the n riders to the nearest sink over the
     links of in_range_links. Unreachable riders get inf.
+
+    The search runs out of the sinks one level at a time: the riders first
+    reached at level h are the unvisited senders of links into level h - 1,
+    found by one pass over the links.
     """
-    # every sink becomes node n; search from it along the links reversed
+    hops = np.full(n, np.inf)
+    senders = links[:, 0]
+    # every sink becomes node n, the level-0 frontier
     receivers = np.minimum(links[:, 1], n)
-    reverse = csr_matrix((np.ones(len(links)), (receivers, links[:, 0])), shape=(n + 1, n + 1))
-    return dijkstra(reverse, unweighted=True, indices=n)[:n]
+    frontier = np.zeros(n + 1, dtype=bool)
+    frontier[n] = True
+    level = 0
+    while True:
+        reached = senders[frontier[receivers]]
+        reached = reached[hops[reached] == np.inf]
+        if not reached.size:
+            return hops
+        level += 1
+        hops[reached] = level
+        frontier[:] = False
+        frontier[reached] = True

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from csagg.graph import NeighborGraph, RiderPositions
 from csagg.mobility import (
@@ -27,7 +29,14 @@ from csagg.config import (
 )
 from csagg.errors import ConfigError, DimensionError
 from csagg.linalg import LpProblem
-from csagg.protocol import DRAW_TAG, AggregateMessage, SensorState, initial_state, payload_bits
+from csagg.protocol import (
+    DRAW_TAG,
+    AggregateMessage,
+    SensorState,
+    block_layout,
+    initial_state,
+    payload_bits,
+)
 from csagg.radio import RadioParams, link_uniforms
 from csagg.sparsity import Measurement
 
@@ -193,6 +202,70 @@ def hops_reference(positions: RiderPositions, sinks, range_m: float) -> np.ndarr
                     nxt.append(int(w))
         frontier = nxt
     return hops[:n]
+
+
+def hops_dijkstra_reference(links: np.ndarray, n: int) -> np.ndarray:
+    """Hop count from each of the n riders to the nearest sink over directed
+    (sender, receiver) links, by scipy's unweighted Dijkstra from one node
+    standing for every sink along the reversed links; inf when out of reach."""
+    receivers = np.minimum(links[:, 1], n)
+    reverse = csr_matrix((np.ones(len(links)), (receivers, links[:, 0])), shape=(n + 1, n + 1))
+    return dijkstra(reverse, unweighted=True, indices=n)[:n]
+
+
+def receptions_reference(delivered, n: int) -> tuple[list[int], list[list[int]]]:
+    """(heard, inboxes) of one round, one delivered pair at a time in sorted
+    order: the senders some sink (node >= n) hears, and each rider's inbox."""
+    heard, inboxes = set(), [[] for _ in range(n)]
+    for sender, receiver in sorted(map(tuple, np.asarray(delivered).tolist())):
+        if receiver >= n:
+            heard.add(sender)
+        else:
+            inboxes[receiver].append(sender)
+    return sorted(heard), inboxes
+
+
+def unit_round_terms_reference(
+    senders: np.ndarray,
+    inbox_start: np.ndarray,
+    inbox_size: np.ndarray,
+    inbox_from: np.ndarray,
+    uniforms: np.ndarray,
+    cap_m: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """protocol.unit_round_terms with each over-cap inbox's subsample picked
+    by two stable argsorts over all inbox entries, by row and then by
+    uniform, ties in inbox order; the signs are 2*floor(2u) - 1."""
+    subsample, signs = block_layout(inbox_size, cap_m)
+    block = np.cumsum(subsample + signs) - (subsample + signs)
+    owner = np.repeat(np.arange(len(senders)), inbox_size)
+    place = np.arange(owner.size) - np.repeat(np.cumsum(inbox_size) - inbox_size, inbox_size)
+    heard = inbox_from[inbox_start[owner] + place]
+    drawn = np.flatnonzero(subsample[owner] > 0)
+    drawn_owner = owner[drawn]
+    u = uniforms[block[drawn_owner] + place[drawn]]
+    by_u = np.argsort(u, kind="stable")
+    order = by_u[np.argsort(drawn_owner[by_u], kind="stable")]
+    grouped = drawn_owner[order]
+    kept = np.ones(owner.size, dtype=bool)
+    kept[drawn[order]] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap_m - 1
+
+    row = np.repeat(np.arange(len(senders)), signs)
+    term = np.arange(row.size) - np.repeat(np.cumsum(signs) - signs, signs)
+    col = np.empty(row.size, dtype=np.int64)
+    col[term == 0] = senders
+    col[term > 0] = heard[kept]
+    sign = 2 * np.floor(uniforms[block[row] + subsample[row] + term] * 2).astype(np.int64) - 1
+    return row, col, sign
+
+
+def first_equations_reference(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) without exact duplicates, first occurrences in order:
+    np.unique over each (row, value + 0.0) as one opaque record of its bytes."""
+    key = np.column_stack([rows, (values + 0.0).view(np.int64)])
+    records = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
+    first = np.sort(np.unique(records, return_index=True)[1])
+    return rows[first], values[first]
 
 
 _MASK64 = 2**64 - 1

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from csagg.protocol import (
     mixing_matrix,
     payload_bits,
     plan_rounds,
+    receptions,
     reconstruct,
     sensor_uniforms,
     step_sensor,
@@ -29,7 +32,14 @@ from csagg.protocol import (
 )
 from csagg.radio import RadioParams, compute_reachability, in_range_links, place_sinks
 from csagg.sparsity import Measurement
-from helpers import ScalarDraws, sink_system_reference, step_sensor_reference
+from helpers import (
+    ScalarDraws,
+    first_equations_reference,
+    receptions_reference,
+    sink_system_reference,
+    step_sensor_reference,
+    unit_round_terms_reference,
+)
 
 
 def run_lossfree_rounds(n, rounds, readings, cap_m=1024, seed=0):
@@ -329,6 +339,122 @@ class TestUnitRound:
         values = np.array([1e16, 1.0])
         row, col, sign = np.array([0, 0, 0, 1]), np.array([1, 0, 0, 1]), np.array([1, 1, -1, -1])
         assert mix_aggregates(row, col, sign, values, 3).tolist() == [0.0, -1.0, 0.0]
+
+
+class LoggedReads(np.ndarray):
+    """An array that records the positions each indexing reads."""
+
+    def __getitem__(self, key):
+        self.read.append(np.arange(len(self))[key])
+        return np.asarray(self)[key]
+
+
+class TestRoundTwoSubsample:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ties_at_the_cap_match_the_argsort_oracle(self, data):
+        # uniforms quantised to a few values tie at the (cap_m - 1)-th
+        # smallest, and inboxes of cap_m - 1, cap_m and cap_m + 1 sit just
+        # under, at and over the cap; each uniform is read exactly once
+        cap_m = data.draw(st.integers(2, 64), label="cap_m")
+        sizes = np.array(
+            data.draw(st.lists(st.sampled_from([cap_m - 1, cap_m, cap_m + 1]), min_size=1, max_size=8)),
+            dtype=np.int64,
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+        senders = np.sort(rng.choice(1000, size=len(sizes), replace=False))
+        # the inboxes lie in inbox_from in a shuffled order
+        order = rng.permutation(len(sizes))
+        starts = np.empty_like(sizes)
+        starts[order] = np.cumsum(sizes[order]) - sizes[order]
+        inbox_from = rng.integers(0, 1000, size=sizes.sum())
+        subsample, signs = block_layout(sizes, cap_m)
+        levels = data.draw(st.integers(1, 4), label="levels")
+        uniforms = rng.integers(0, levels, size=(subsample + signs).sum()) / levels
+
+        logged = uniforms.view(LoggedReads)
+        logged.read = []
+        got = protocol.unit_round_terms(senders, starts, sizes, inbox_from, logged, cap_m)
+        want = unit_round_terms_reference(senders, starts, sizes, inbox_from, uniforms, cap_m)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+        read = np.sort(np.concatenate(logged.read))
+        assert np.array_equal(read, np.arange(len(uniforms)))
+
+    def test_cap_two_keeps_one_message(self):
+        # at cap_m = 2 the partition looks for the smallest uniform of each
+        # inbox, and of two tied ones the first is kept
+        sizes = np.array([3, 2])
+        # row 0: three subsample uniforms, two signs; row 1: two and two
+        uniforms = np.array([0.7, 0.2, 0.2, 0.9, 0.1, 0.4, 0.4, 0.6, 0.3])
+        row, col, sign = unit_round_terms(
+            np.array([4, 9]), np.array([0, 3]), sizes, np.array([1, 2, 3, 5, 6]), uniforms, 2
+        )
+        assert row.tolist() == [0, 0, 1, 1]
+        assert col.tolist() == [4, 2, 9, 5]
+        assert sign.tolist() == [1, -1, 1, -1]
+
+
+def _equations(data, n, k):
+    """k equations over n riders drawn from a small pool, so that rows and
+    values repeat; -0.0 and 0.0 are both among the values."""
+    pool = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = np.array(data.draw(st.lists(pool, min_size=k, max_size=k), label="rows"), dtype=np.int64)
+    values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5, 1e300]), min_size=k, max_size=k))
+    return rows.reshape(k, n), np.array(values, dtype=float)
+
+
+class TestFirstEquations:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["splitmix", "zero multipliers", "two buckets"]))
+    def test_matches_the_record_oracle(self, data, hashing):
+        # forced collisions: with zero multipliers every equation hashes to
+        # 0, with two buckets half of the unequal ones collide
+        n = data.draw(st.integers(1, 6), label="n")
+        rows, values = _equations(data, n, data.draw(st.integers(0, 30), label="k"))
+        patches = {
+            "splitmix": contextlib.nullcontext(),
+            "zero multipliers": mock.patch.object(protocol, "_splitmix64", np.zeros_like),
+            "two buckets": mock.patch.object(
+                protocol, "_equation_hashes", lambda key: key.view(np.uint64)[:, 0] % np.uint64(2)
+            ),
+        }
+        with patches[hashing]:
+            system = protocol._first_equations(rows, values)
+        want_rows, want_values = first_equations_reference(rows, values)
+        assert np.array_equal(system.rows, want_rows)
+        assert system.values.tobytes() == want_values.tobytes()
+
+    def test_first_occurrence_kept_in_order(self):
+        rows = np.array([[0, 1], [1, 0], [0, 1], [1, 1], [1, 0], [0, 1]])
+        values = np.array([2.0, -0.0, 2.0, 3.0, 0.0, 5.0])
+        system = protocol._first_equations(rows, values)
+        assert system.rows.tolist() == [[0, 1], [1, 0], [1, 1], [0, 1]]
+        # (e_0, 0.0) repeats (e_0, -0.0), whose sign bit the system keeps
+        assert system.values.tobytes() == np.array([2.0, -0.0, 3.0, 5.0]).tobytes()
+
+    def test_empty_system(self):
+        system = protocol._first_equations(np.zeros((0, 4), dtype=np.int64), np.zeros(0))
+        assert (system.k, system.n) == (0, 4)
+
+
+class TestReceptions:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_pair_by_pair_oracle(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        n_sinks = data.draw(st.integers(0, 2), label="n_sinks")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n + n_sinks - 1))
+        delivered = np.array(
+            sorted({(s, r) for s, r in data.draw(st.lists(pairs), label="pairs") if s != r}),
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        heard, sizes, inbox_from = receptions(delivered, n)
+        want_heard, want_inboxes = receptions_reference(delivered, n)
+        assert heard.tolist() == want_heard
+        assert sizes.tolist() == [len(inbox) for inbox in want_inboxes]
+        assert inbox_from.tolist() == [s for inbox in want_inboxes for s in inbox]
 
 
 def _equation_keys(system: Measurement) -> set[tuple[bytes, float]]:

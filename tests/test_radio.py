@@ -13,7 +13,8 @@ from csagg.radio import (
     link_uniforms,
     place_sinks,
 )
-from helpers import hops_reference, reachability_reference
+from csagg.protocol import MIN_ROUNDS
+from helpers import hops_dijkstra_reference, hops_reference, reachability_reference
 
 NO_SINKS = np.zeros((0, 2))
 
@@ -111,6 +112,51 @@ class TestHopDistance:
         for range_m in (0.0, float("nan")):
             with pytest.raises(ConfigError, match="range_m"):
                 in_range_links(riders(0.0), NO_SINKS, range_m)
+
+
+class TestLevelBfs:
+    """hop_distance_to_sinks on hand-made link lists, against the Dijkstra
+    search it replaced and the distance-matrix BFS."""
+
+    def test_rider_without_links(self):
+        # rider 2 neither sends nor receives; sink is node 3
+        links = np.array([[0, 1], [1, 0], [1, 3]])
+        found = hop_distance_to_sinks(links, 3)
+        assert found.tolist()[:2] == [2.0, 1.0]
+        assert np.isinf(found[2])
+        assert np.array_equal(found, hops_dijkstra_reference(links, 3))
+
+    def test_links_only_into_sinks(self):
+        links = np.array([[0, 3], [1, 4], [2, 3]])
+        assert hop_distance_to_sinks(links, 3).tolist() == [1.0, 1.0, 1.0]
+
+    def test_repeated_sink_links(self):
+        # rider 0 reaches both sinks, one of them twice
+        links = np.array([[0, 2], [0, 2], [0, 3], [1, 0]])
+        assert hop_distance_to_sinks(links, 2).tolist() == [1.0, 2.0]
+        assert np.array_equal(hop_distance_to_sinks(links, 2), hops_dijkstra_reference(links, 2))
+
+    def test_no_links(self):
+        assert np.isinf(hop_distance_to_sinks(np.zeros((0, 2), dtype=np.int64), 2)).all()
+
+    def test_chain_deeper_than_min_rounds(self):
+        depth = MIN_ROUNDS + 3
+        pos = riders(*(40.0 * k for k in range(depth)))
+        sinks = np.array([[40.0 * depth, 0.0]])
+        found = hops(pos, sinks, 50.0)
+        assert found.tolist() == [float(depth - k) for k in range(depth)]
+        assert np.array_equal(found, hops_reference(pos, sinks, 50.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_link_list_matches_dijkstra(self, data):
+        # directed, unsorted and repeated links; sinks only receive
+        n = data.draw(st.integers(1, 15), label="n")
+        n_sinks = data.draw(st.integers(0, 3), label="n_sinks")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n + n_sinks - 1))
+        links = np.array(data.draw(st.lists(pairs, max_size=60), label="links"), dtype=np.int64)
+        links = links.reshape(-1, 2)
+        assert np.array_equal(hop_distance_to_sinks(links, n), hops_dijkstra_reference(links, n))
 
 
 _ALONG = st.floats(0.0, 400.0)
