@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -32,20 +31,22 @@ class RiderPositions:
         return self.pos.shape[0]
 
 
-@dataclass(frozen=True)
+# an array field does not compare by value, so graphs compare by identity
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Simple undirected graph on n vertices; edges stored with i < j."""
+    """Simple undirected graph on n vertices. edges is given as any (m, 2)
+    array-like of (i, j) pairs with i < j and stored as an (m, 2) int64 array."""
 
     n: int
-    edges: tuple[tuple[int, int], ...] = field(default=())
+    edges: np.ndarray = ()
 
     def __post_init__(self):
-        check_edges(edge_array(self.edges), self.n)
-
-
-def edge_array(edges) -> np.ndarray:
-    """The (i, j) pairs as an (m, 2) int64 array, each end truncated as by int()."""
-    return np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        e = np.array(self.edges, dtype=np.int64)
+        if e.size and (e.ndim != 2 or e.shape[1] != 2):
+            raise DimensionError(f"edges must be an (m, 2) array, got shape {e.shape}")
+        e = e.reshape(-1, 2)
+        check_edges(e, self.n)
+        object.__setattr__(self, "edges", e)
 
 
 def check_edges(edges: np.ndarray, n: int) -> None:
@@ -88,14 +89,14 @@ def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
     rows, cols = np.nonzero(nearer | (tied & (np.cumsum(tied, axis=1) <= room)))
     # each undirected pair once, as one key min * n + max in sorted order
     keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
-    return NeighborGraph(n=n, edges=tuple(zip((keys // n).tolist(), (keys % n).tolist())))
+    return NeighborGraph(n=n, edges=np.column_stack([keys // n, keys % n]))
 
 
 def connected_components(graph: NeighborGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by their
     lowest vertex."""
-    e = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    adjacency = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
+    i, j = graph.edges.T
+    adjacency = csr_matrix((np.ones(len(i)), (i, j)), shape=(graph.n, graph.n))
     labels = csgraph.connected_components(adjacency, directed=False)[1]
     order = np.argsort(labels, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)

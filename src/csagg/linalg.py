@@ -29,7 +29,8 @@ from scipy.optimize import linprog
 
 from .errors import DimensionError, NumericalError, RankDeficientError
 
-DEFAULT_FEAS_TOL = 1e-8
+# solve_lp's feasibility and optimality tolerance, also HiGHS's own
+FEAS_TOL = 1e-8
 # a pivoted-QR diagonal entry counts towards the rank above this times max|entry|
 RANK_RTOL = 1e-9
 
@@ -90,31 +91,28 @@ class LpSolution:
     eq_duals: np.ndarray | None = None
 
 
-def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an equality-constrained LP with bounded variables.
 
     Returns an OPTIMAL solution with its equality duals y, or the
     INFEASIBLE/UNBOUNDED status. An optimal z satisfies
-    ||G z - h||_inf <= feas_tol (relative to max(1, ||h||_inf)) and lies
-    within feas_tol of its finite bounds. Its duals certify optimality: the
-    reduced cost c - G^T y of every free variable is within feas_tol of zero
+    ||G z - h||_inf <= FEAS_TOL (relative to max(1, ||h||_inf)) and lies
+    within FEAS_TOL of its finite bounds. Its duals certify optimality: the
+    reduced cost c - G^T y of every free variable is within FEAS_TOL of zero
     (relative to max(1, ||c||_inf)), and c.z equals the dual objective
     h.y + sum_j min over lower_j <= z_j <= upper_j of (c - G^T y)_j z_j within
-    feas_tol (relative to max(1, |c.z|)). A breach, or numerical breakdown,
+    FEAS_TOL (relative to max(1, |c.z|)). A breach, or numerical breakdown,
     raises NumericalError.
     """
-    if feas_tol <= 0:
-        raise ValueError("feas_tol must be positive")
     c, g, h = problem.objective, problem.eq_matrix, problem.eq_rhs
     lower, upper = problem.lower, problem.upper
-    tol = min(feas_tol, 1e-8)
     res = linprog(
         c,
         A_eq=sparse.csr_matrix(g),
         b_eq=h,
         bounds=np.column_stack([lower, upper]),
         method="highs-ipm",
-        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
+        options={"primal_feasibility_tolerance": FEAS_TOL, "dual_feasibility_tolerance": FEAS_TOL},
     )
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE, None, float("nan"))
@@ -129,7 +127,7 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
     fin_lo, fin_up = np.isfinite(lower), np.isfinite(upper)
     below = float(np.max(lower[fin_lo] - z[fin_lo], initial=0.0))
     above = float(np.max(z[fin_up] - upper[fin_up], initial=0.0))
-    if resid > feas_tol * scale or max(below, above) > feas_tol:
+    if resid > FEAS_TOL * scale or max(below, above) > FEAS_TOL:
         raise NumericalError(
             f"LP solution violates feasibility: residual {resid:.3e}, "
             f"bound violation {max(below, above):.3e}"
@@ -144,8 +142,8 @@ def solve_lp(problem: LpProblem, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSoluti
     primal_objective = float(c @ z)
     gap = abs(primal_objective - dual_objective)
     if (
-        stationarity > feas_tol * max(1.0, float(np.max(np.abs(c), initial=0.0)))
-        or gap > feas_tol * max(1.0, abs(primal_objective))
+        stationarity > FEAS_TOL * max(1.0, float(np.max(np.abs(c), initial=0.0)))
+        or gap > FEAS_TOL * max(1.0, abs(primal_objective))
     ):
         raise NumericalError(
             f"LP duals do not certify optimality: free reduced cost {stationarity:.3e}, "

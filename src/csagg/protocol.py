@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, DimensionError, NumericalError
 from .graph import NeighborGraph
@@ -226,9 +225,10 @@ def unit_round_terms(
 
 
 def mixing_matrix(row: np.ndarray, col: np.ndarray, sign: np.ndarray, shape: tuple[int, int]):
-    """The signed mixing matrix M with M[row[t], col[t]] = sign[t], as an
-    int64 scipy.sparse CSR array; repeated (row, col) pairs add up."""
-    return sparse.csr_array((sign.astype(np.int64), (row, col)), shape=shape)
+    """The signed mixing matrix M with M[row[t], col[t]] = sign[t], as a dense
+    int64 array; repeated (row, col) pairs add up."""
+    flat = np.bincount(row * shape[1] + col, weights=sign, minlength=shape[0] * shape[1])
+    return flat.astype(np.int64).reshape(shape)
 
 
 def mix_aggregates(
@@ -444,7 +444,7 @@ def collect_timestep(
             # every input is a unit row, so each sensor's new row is its row
             # of M_2, whose +/-1 entries never reach cap_m >= 2
             terms = unit_round_terms(senders, starts, sizes, inbox_from, uniforms, cap_m)
-            rows = mixing_matrix(*terms, (n, n)).toarray()
+            rows = mixing_matrix(*terms, (n, n))
             aggregates = mix_aggregates(*terms, readings, n)
             # objects only for round 3's senders and the messages they read
             next_senders, next_sizes, next_starts, next_from = stepped(3)

@@ -5,6 +5,7 @@ linear measurements Y = A X:
 
   * basis:     minimize ||phi X||_1        (sparsity in a transform basis)
   * pairwise:  minimize sum_{ij in E} |x_i - x_j|   (neighbors move alike)
+               over the (m, 2) edge array E of a graph.NeighborGraph
 
 Each prior is a (p, n) operator T. Both builders first replace A X = Y by
 its reduced row-echelon form B X = Y' (linalg.row_echelon): one pivoted QR
@@ -30,13 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .graph import check_edges, edge_array
+from .graph import NeighborGraph
 from .linalg import LpProblem, LpSolution, LpStatus, row_echelon
 
 # decode_consistent: ||A X - Y||_inf may reach this times max(1, ||Y||_inf)
 CONSISTENCY_RTOL = 1e-8
-
-EdgeList = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,10 @@ def build_basis_l1(meas: Measurement, basis: np.ndarray) -> LpProblem:
     return _abs_bound_lp(meas, basis)
 
 
-def pairwise_difference_operator(edges: EdgeList, n: int) -> np.ndarray:
-    """(|E|, n) operator mapping X to (x_i - x_j) over the edges, i < j; the
-    edges are checked as a NeighborGraph's."""
-    e = edge_array(edges)
-    check_edges(e, n)
+def pairwise_difference_operator(edges, n: int) -> np.ndarray:
+    """(|E|, n) operator mapping X to (x_i - x_j) over the (m, 2) edges, i < j;
+    the edges are checked as a NeighborGraph's."""
+    e = NeighborGraph(n, edges).edges
     if not len(e):
         raise DimensionError("edge list is empty: the objective would be void")
     t = np.zeros((len(e), n))
@@ -109,7 +107,7 @@ def pairwise_difference_operator(edges: EdgeList, n: int) -> np.ndarray:
     return t
 
 
-def build_pairwise_l1(meas: Measurement, edges: EdgeList) -> LpProblem:
+def build_pairwise_l1(meas: Measurement, edges) -> LpProblem:
     """min sum over edges of |x_i - x_j| subject to the measurements."""
     return _abs_bound_lp(meas, pairwise_difference_operator(edges, meas.n))
 

@@ -491,6 +491,41 @@ class TestCli:
         assert reports[0].stress == 1.0  # zeros before the first estimate
         assert reports[2].stress == stress(vels[2].x, estimates[0][0])
 
+    @pytest.mark.parametrize("mode", GRAPH_MODES)
+    def test_graph_positions_per_mode(self, tmp_path, monkeypatch, mode):
+        # truth: the true frame i at step i; reconstruction: frame 0 at step
+        # 0, then frame 0's along-road positions moved by the estimates so
+        # far, at lateral offset 0
+        cfg = load_config(None, ["scenario=matrix", f"out={tmp_path}", "n=12", "duration_s=20",
+                                 "steps=4", "init_length_m=60", "k_measurements=6", "k_neighbors=4",
+                                 f"graph_mode={mode}"])
+        knn, reconstruct = experiments.knn_graph, experiments.reconstruct
+        seen, estimates = [], []
+
+        def recording_knn(positions, k):
+            seen.append(positions)
+            return knn(positions, k)
+
+        def recording(system, graph):
+            result = reconstruct(system, graph)
+            estimates.append(result[0])
+            return result
+
+        monkeypatch.setattr(experiments, "knn_graph", recording_knn)
+        monkeypatch.setattr(experiments, "reconstruct", recording)
+        experiments.run_matrix(cfg)
+        frames = simulate_race(cfg.peloton).frames
+        assert len(seen) == len(estimates) == 4
+        s_hat = frames[0].pos[:, 0]
+        for i, positions in enumerate(seen):
+            assert positions.time == frames[i].time
+            if mode == "truth" or i == 0:
+                want = frames[i].pos
+            else:
+                s_hat = s_hat + cfg.peloton.dt * estimates[i - 1]
+                want = np.column_stack([s_hat, np.zeros(cfg.peloton.n)])
+            assert positions.pos.tobytes() == want.tobytes()
+
     # a simulated race is cut after the steps + 1 frames a run reads
     _RACE = ["n=20", "k_neighbors=4", "k_measurements=10", "init_length_m=60",
              "seed=3", "breakaway_rate=0.05"]

@@ -30,18 +30,18 @@ class TestKnnGraph:
     def test_collinear_points(self):
         pos = RiderPositions(0.0, [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
         g = knn_graph(pos, 1)
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_square_corners_complete(self):
         pos = RiderPositions(0.0, [[0, 0], [0, 1], [1, 0], [1, 1]])
         g = knn_graph(pos, 3)
-        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_tie_break_towards_lower_index(self):
         # riders 1 and 2 are equidistant from 0; k=1 must pick rider 1
         pos = RiderPositions(0.0, [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         g = knn_graph(pos, 1)
-        assert (0, 1) in g.edges
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
 
     def test_too_few_riders(self):
         with pytest.raises(DimensionError):
@@ -63,7 +63,7 @@ class TestKnnGraph:
         deg = np.bincount(np.ravel(g.edges), minlength=130)
         assert deg.min() >= 10  # every rider lists 10 neighbors
         assert deg.max() <= 20  # union symmetrization at most doubles
-        assert len(set(g.edges)) == len(g.edges)
+        assert len(np.unique(g.edges, axis=0)) == len(g.edges)
 
     def test_compact_peloton_usually_connected(self):
         # density 0.2 riders/m over a 300 m window, k=10
@@ -80,7 +80,7 @@ class TestKnnGraph:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         pos = RiderPositions(0.0, rng.uniform(0, 50, size=(30, 2)))
-        assert knn_graph(pos, 5).edges == knn_graph(pos, 5).edges
+        assert np.array_equal(knn_graph(pos, 5).edges, knn_graph(pos, 5).edges)
 
 
 class TestMatchesReference:
@@ -89,7 +89,9 @@ class TestMatchesReference:
     def test_knn_edges_match_reference(self, data):
         pos = _positions(data)
         k = data.draw(st.integers(min_value=1, max_value=pos.n - 1))
-        assert knn_graph(pos, k).edges == knn_reference(pos, k).edges
+        edges = knn_graph(pos, k).edges
+        assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+        assert np.array_equal(edges, knn_reference(pos, k).edges)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -110,19 +112,33 @@ class TestNeighborGraph:
             NeighborGraph(n=3, edges=((0, 3),))
         with pytest.raises(DimensionError):
             NeighborGraph(n=3, edges=((1, 1),))
+        # rows that are not pairs are named by their shape, not reread as pairs
+        for edges in (((0, 1, 2), (3, 4, 5)), (0, 1), ((0,), (1,))):
+            with pytest.raises(DimensionError, match="must be an"):
+                NeighborGraph(n=6, edges=edges)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_edge_check_matches_reference(self, data):
-        # out-of-range, reversed, self and repeated edges in any order: the
-        # same edge is named, or both accept
+        # out-of-range, reversed, self and repeated edges in any order, as
+        # Python ints, numpy ints or one (m, 2) array: the same edge is
+        # named, or both accept and the graph stores the edges row for row
         n = data.draw(st.integers(0, 12), label="n")
         edges = data.draw(edge_lists(n), label="edges")
+        forms = (
+            edges,
+            tuple(tuple(np.int64(v) for v in e) for e in edges),
+            np.array(edges, dtype=np.int64).reshape(-1, 2),
+        )
         try:
             edges_check_reference(edges, n)
         except DimensionError as want:
-            with pytest.raises(DimensionError) as got:
-                NeighborGraph(n=n, edges=edges)
-            assert str(got.value) == str(want)
+            for form in forms:
+                with pytest.raises(DimensionError) as got:
+                    NeighborGraph(n=n, edges=form)
+                assert str(got.value) == str(want)
         else:
-            assert NeighborGraph(n=n, edges=edges).edges == edges
+            for form in forms:
+                stored = NeighborGraph(n=n, edges=form).edges
+                assert stored.dtype == np.int64 and stored.shape == (len(edges), 2)
+                assert stored.tolist() == [list(e) for e in edges]

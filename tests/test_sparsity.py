@@ -7,7 +7,7 @@ from csagg import experiments
 from csagg.config import load_config
 from csagg.errors import DimensionError, NumericalError
 from csagg.graph import NeighborGraph, RiderPositions, connected_components, knn_graph
-from csagg.linalg import DEFAULT_FEAS_TOL, LpProblem, LpStatus, LpSolution, dct_matrix, rank, solve_lp
+from csagg.linalg import FEAS_TOL, LpProblem, LpStatus, LpSolution, dct_matrix, rank, solve_lp
 from csagg.metrics import stress
 from csagg.protocol import reconstruct
 from csagg.sparsity import (
@@ -271,7 +271,7 @@ class TestSplitResidualEquivalence:
         assert abs(sol.objective_value - oracle.objective_value) <= 1e-7 * scale
 
         x = sol.values[:n]  # [X(n), u(p), v(p)]: X is the leading block
-        assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
+        assert np.abs(a @ x - y).max() <= FEAS_TOL * max(1.0, np.abs(y).max())
         assert abs(sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
 
 
@@ -301,7 +301,7 @@ class TestDualEquivalence:
         assert abs(-sol.objective_value - oracle.objective_value) <= 1e-7 * scale
 
         x = decode_solution(sol, n)
-        assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
+        assert np.abs(a @ x - y).max() <= FEAS_TOL * max(1.0, np.abs(y).max())
         assert abs(-sol.objective_value - np.abs(t @ x).sum()) <= 1e-7 * scale
 
     @settings(max_examples=80, deadline=None)
@@ -329,7 +329,7 @@ class TestDualEquivalence:
         assert abs(-sol.objective_value - oracle.objective_value) <= 1e-7 * scale
 
         x = decode_solution(sol, n)
-        assert np.abs(a @ x - y).max() <= DEFAULT_FEAS_TOL * max(1.0, np.abs(y).max())
+        assert np.abs(a @ x - y).max() <= FEAS_TOL * max(1.0, np.abs(y).max())
 
 
 class TestRowEchelonLp:
