@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mobility import PelotonParams, SpeedProfile, read_utf8
+from .protocol import MAX_CAP
 from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
@@ -64,8 +65,8 @@ class ExperimentConfig:
             raise ConfigError("range_m must be positive")
         if self.k_measurements < 1 or self.k_neighbors < 1:
             raise ConfigError("k_measurements and k_neighbors must be >= 1")
-        if self.cap_m < 2:
-            raise ConfigError("cap_m must be >= 2")
+        if not 2 <= self.cap_m <= MAX_CAP:
+            raise ConfigError(f"cap_m={self.cap_m} must be in [2, {MAX_CAP}]")
         if min(self.dct_n, self.dct_sparsity, self.dct_k) < 1 or self.dct_losses < 0:
             raise ConfigError("dct-demo sizes must be positive (losses >= 0)")
         if self.dct_sparsity > self.dct_n:

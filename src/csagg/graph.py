@@ -67,6 +67,16 @@ def check_edges(edges: np.ndarray, n: int) -> None:
         raise DimensionError(f"duplicate edge ({a},{b})")
 
 
+def smallest_per_row(table: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k smallest entries in each row of the 2-D table:
+    all below the row's k-th smallest value, then its earliest at that value."""
+    kth = np.partition(table, k - 1, axis=1)[:, k - 1 : k]
+    below = table < kth
+    tied = table == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    return below | (tied & (np.cumsum(tied, axis=1) <= room))
+
+
 def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
     """Connect each rider to its k nearest neighbors (Euclidean), symmetrized by union.
 
@@ -80,13 +90,7 @@ def knn_graph(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
     dist = cdist(positions.pos, positions.pos)
     np.fill_diagonal(dist, np.inf)
-    # each rider keeps everything nearer than its k-th distance, then the
-    # lowest-index riders at exactly that distance until it has k
-    kth = np.partition(dist, k_neighbors - 1, axis=1)[:, k_neighbors - 1 : k_neighbors]
-    nearer = dist < kth
-    tied = dist == kth
-    room = k_neighbors - nearer.sum(axis=1, keepdims=True)
-    rows, cols = np.nonzero(nearer | (tied & (np.cumsum(tied, axis=1) <= room)))
+    rows, cols = np.nonzero(smallest_per_row(dist, k_neighbors))
     # each undirected pair once, as one key min * n + max in sorted order
     keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
     return NeighborGraph(n=n, edges=np.column_stack([keys // n, keys % n]))

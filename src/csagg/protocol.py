@@ -10,20 +10,20 @@ the sensor forwards its previous message instead. A sensor with more than
 cap_m - 1 messages in its inbox combines a uniform subsample of cap_m - 1.
 
 Each round r >= 2 is one signed mixing matrix M_r on the combination rows,
-R_r = M_r R_(r-1), with R_1 the identity. collect_timestep computes the
-first two rounds as matrices: round 1 is the identity and the readings, so
-no message is built for it, and round 2 mixes unit rows only, so every
-sensor's combination row is its own mixing row, no coefficient can reach
-cap_m >= 2 and no sensor forwards. M_2 comes from (row, col, sign) triples
-(unit_round_terms, mixing_matrix) and its aggregates are summed term by
-term, self first, as step_sensor sums them (mix_aggregates). Rounds 3 and
-later mix rows that are already sums, where a coefficient can overflow the
-cap and the sensor forwards; they step each sensor with step_sensor, so
-round 2 builds state and message objects only for the sensors round 3
-steps and the messages those read. Everything around the sensor steps is
-whole-array: a round's deliveries become the inboxes and the heard senders
-through one who-heard-whom table (receptions), and each over-cap inbox's
-subsample is one np.partition (unit_round_terms).
+R_r = M_r R_(r-1), with R_1 the identity. In collect_timestep each round
+hands the next two arrays: the combination rows, one int64 row per sensor,
+and their aggregates. Round 1 is the identity and the readings. Round 2
+mixes unit rows only, so every sensor's combination row is its own mixing
+row, no coefficient can reach cap_m >= 2 and no sensor forwards: M_2 comes
+from (row, col, sign) triples (unit_round_terms, mixing_matrix) and its
+aggregates are summed term by term, self first, as step_sensor sums them
+(mix_aggregates). Rounds 3 and later mix rows that are already sums, where
+a coefficient can overflow the cap and the sensor forwards: they build
+message and state objects from the two arrays, step each sensor with
+step_sensor and stack the sent messages back. A round's deliveries become
+the inboxes and the heard senders through one who-heard-whom table
+(receptions), and each over-cap inbox's subsample is one np.partition
+(unit_round_terms).
 
 The random draws are counter-based: draw j of sensor i in round r of step t
 is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j) turned into a
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
-from .graph import NeighborGraph
+from .graph import NeighborGraph, smallest_per_row
 from .linalg import LpStatus, least_squares, rank, solve_lp
 from .radio import (
     RadioParams,
@@ -68,12 +68,16 @@ AGGREGATE_BITS = 64  # a real number on the wire
 # first key of every protocol draw chain; a radio.link_uniforms chain starts
 # from the seed, so the two never hash the same key sequence
 DRAW_TAG = int.from_bytes(b"protocol", "big")
+# a sensor sums itself and at most cap_m - 1 inbox rows whose entries are
+# below cap_m, so every int64 sum stays below cap_m**2 <= 2**62 and cannot wrap
+MAX_CAP = 2**31
 
 
 def payload_bits(n: int, cap_m: int) -> int:
-    """Payload size of one aggregate message: n*ceil(log2(m)) + 64 bits."""
-    if cap_m < 2:
-        raise ConfigError("cap_m must be >= 2")
+    """Payload size of one aggregate message: n*ceil(log2(m)) + 64 bits.
+    A cap_m outside [2, MAX_CAP] raises ConfigError."""
+    if not 2 <= cap_m <= MAX_CAP:
+        raise ConfigError(f"cap_m={cap_m} must be in [2, {MAX_CAP}]")
     return n * math.ceil(math.log2(cap_m)) + AGGREGATE_BITS
 
 
@@ -199,19 +203,13 @@ def unit_round_terms(
     over = subsample > 0
     if over.any():
         # the over-cap inboxes' uniforms in a table, one row per inbox and
-        # +inf past its end; each row keeps everything below its
-        # (cap_m - 1)-th smallest, then its earliest slots at exactly that value
+        # +inf past its end; each row keeps its cap_m - 1 smallest
         size = inbox_size[over]
         width = size.max()
         slot = ranges(np.arange(size.size) * width, size)
         table = np.full((size.size, width), np.inf)
         table.ravel()[slot] = uniforms[ranges(block[over], size)]
-        kth = np.partition(table, cap_m - 2, axis=1)[:, cap_m - 2 : cap_m - 1]
-        below = table < kth
-        tied = table == kth
-        room = cap_m - 1 - below.sum(axis=1, keepdims=True)
-        chosen = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        kept[np.repeat(over, inbox_size)] = chosen.ravel()[slot]
+        kept[np.repeat(over, inbox_size)] = smallest_per_row(table, cap_m - 1).ravel()[slot]
 
     row = np.repeat(np.arange(len(senders)), signs)
     own = np.zeros(row.size, dtype=bool)
@@ -269,8 +267,10 @@ def step_sensor(
     combination with a coefficient of cap_m or more would not fit its
     ceil(log2 cap_m)-bit slot: it is not sent, and the sensor forwards its
     previous row and aggregate instead, with mixing row e_i. A previous row
-    that does not fit raises ConfigError.
+    that does not fit, or a cap_m outside [2, MAX_CAP], raises ConfigError.
     """
+    n = state.coeff_row.shape[0]
+    bits = payload_bits(n, cap_m)
     own_peak = int(np.abs(state.coeff_row).max(initial=0))
     if own_peak >= cap_m:
         raise ConfigError(
@@ -286,7 +286,6 @@ def step_sensor(
         pick = rng.choice(len(inbox), size=cap_m - 1, replace=False)
         contributors = [inbox[i] for i in np.sort(pick).tolist()]
 
-    n = state.coeff_row.shape[0]
     # one draw per term, self first
     signs = 2 * rng.integers(0, 2, size=len(contributors) + 1) - 1
     new_row = signs @ np.array([state.coeff_row, *[msg.coeff_row for msg in contributors]])
@@ -314,7 +313,7 @@ def step_sensor(
         round=state.round + 1,
         coeff_row=new_row,
         aggregate=new_aggregate,
-        payload_bits=payload_bits(n, cap_m),
+        payload_bits=bits,
     )
     return new_state, out
 
@@ -403,18 +402,21 @@ def collect_timestep(
 ) -> CollectionResult:
     """Run one timestep's L rounds of broadcast, aggregation and sink collection.
 
-    The sink system holds every broadcast a sink hears, by round and then by
-    sender, without exact duplicates. A round-L message that no sink hears
-    is never read, so the last round computes only the messages of the
-    senders a sink hears; a sensor's draws are keyed by its id alone, so
-    this changes no equation. check_aggregates, when set, asserts
-    aggregate == coeff_row . readings within that tolerance for every
-    computed message (debug hook); an error names the sensor and round.
+    Each round r >= 2 maps round r - 1's combination rows and aggregates to
+    the same two arrays for the sensors it steps. The sink system holds
+    every broadcast a sink hears, by round and then by sender, without exact
+    duplicates. A round-L message that no sink hears is never read, so the
+    last round steps only the senders a sink hears; a sensor's draws are
+    keyed by its id alone, so this changes no equation. check_aggregates,
+    when set, asserts aggregate == coeff_row . readings within that
+    tolerance for every computed message (debug hook); an error names the
+    sensor and round.
     """
     readings = np.asarray(readings, dtype=float)
     n = positions.n
     if readings.shape != (n,):
         raise DimensionError(f"readings shape {readings.shape}, expected ({n},)")
+    message_bits = payload_bits(n, cap_m)
     links = in_range_links(positions, sinks, radio.range_m)
     hops = hop_distance_to_sinks(links, n)
     rounds_total, uncoverable = plan_rounds(hops)
@@ -423,20 +425,16 @@ def collect_timestep(
         for rnd in range(1, rounds_total + 1)
     ))
 
-    def stepped(rnd):
-        """Round rnd's stepped sensors, the sizes and starts of their inboxes
-        (the inboxes filled in round rnd - 1), and all inboxes' senders."""
-        senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
-        sizes = inbox_sizes[rnd - 2]
-        return senders, sizes[senders], (np.cumsum(sizes) - sizes)[senders], inbox_senders[rnd - 2]
-
     # round 1 is the identity: each sensor sends its reading with the unit
     # row e_i, so the sinks' round-1 equations are the heard senders' e_i
-    rows_heard = [np.eye(n, dtype=np.int64)[heard[0]]]
-    values_heard = [readings[heard[0]]]
-    message_bits = payload_bits(n, cap_m)
+    rows, aggregates = np.eye(n, dtype=np.int64), readings
+    rows_heard, values_heard = [rows[heard[0]]], [aggregates[heard[0]]]
     for rnd in range(2, rounds_total + 1):
-        senders, sizes, starts, inbox_from = stepped(rnd)
+        # rows and aggregates hold round rnd - 1's messages, one per sensor;
+        # round rnd steps every sensor, or in the last round the heard ones
+        senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
+        all_sizes, inbox_from = inbox_sizes[rnd - 2], inbox_senders[rnd - 2]
+        sizes, starts = all_sizes[senders], (np.cumsum(all_sizes) - all_sizes)[senders]
         # a block holds exactly the uniforms step_sensor draws
         subsample, signs = block_layout(sizes, cap_m)
         uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, subsample + signs)
@@ -445,33 +443,27 @@ def collect_timestep(
             # of M_2, whose +/-1 entries never reach cap_m >= 2
             terms = unit_round_terms(senders, starts, sizes, inbox_from, uniforms, cap_m)
             rows = mixing_matrix(*terms, (n, n))
-            aggregates = mix_aggregates(*terms, readings, n)
-            # objects only for round 3's senders and the messages they read
-            next_senders, next_sizes, next_starts, next_from = stepped(3)
-            read = np.zeros(n, dtype=bool)
-            read[next_from[ranges(next_starts, next_sizes)]] = True
-            values = aggregates.tolist()
-            states = {
-                i: SensorState(i, 2, rows[i], values[i], mix_rows=(rows[i],))
-                for i in next_senders.tolist()
-            }
-            broadcasts = {
-                i: AggregateMessage(i, 2, rows[i], values[i], message_bits)
-                for i in np.flatnonzero(read).tolist()
-            }
+            aggregates = mix_aggregates(*terms, aggregates, n)
         else:
-            inbox_msgs = [broadcasts[j] for j in inbox_from[ranges(starts, sizes)].tolist()]
+            # objects from the two arrays, the sent messages stacked back
+            read = inbox_from[ranges(starts, sizes)]
+            values = aggregates.tolist()
+            messages = {
+                j: AggregateMessage(j, rnd - 1, rows[j], values[j], message_bits)
+                for j in np.unique(read).tolist()
+            }
+            inbox_msgs = [messages[j] for j in read.tolist()]
             inbox_bounds = [0, *np.cumsum(sizes).tolist()]
             block_bounds = [0, *np.cumsum(subsample + signs).tolist()]
-            next_states, sent = [], []
-            for k, i in enumerate(senders.tolist()):
-                draws = SensorDraws(uniforms[block_bounds[k] : block_bounds[k + 1]])
-                inbox = inbox_msgs[inbox_bounds[k] : inbox_bounds[k + 1]]
-                state, msg = step_sensor(states[i], inbox, draws, cap_m)
-                next_states.append(state)
-                sent.append(msg)
-            states = dict(zip(senders.tolist(), next_states))
-            broadcasts = dict(zip(senders.tolist(), sent))
+            sent = [
+                step_sensor(
+                    SensorState(i, rnd - 1, rows[i], values[i]),
+                    inbox_msgs[inbox_bounds[k] : inbox_bounds[k + 1]],
+                    SensorDraws(uniforms[block_bounds[k] : block_bounds[k + 1]]),
+                    cap_m,
+                )[1]
+                for k, i in enumerate(senders.tolist())
+            ]
             rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)
             aggregates = np.array([msg.aggregate for msg in sent], dtype=float)
         if check_aggregates is not None:

@@ -283,6 +283,20 @@ class TestCli:
         assert main(["matrix", "--set", "loss_p=9"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    # 2**62 is parsed but its int64 sums could wrap; the 20-digit value
+    # overflows int64 itself
+    @pytest.mark.parametrize(
+        "value", ["1", "2147483649", "4611686018427387904", "99999999999999999999"]
+    )
+    def test_cap_m_out_of_range_exits_2(self, tmp_path, capsys, value):
+        assert main(["routing", "--out", str(tmp_path), "--set", f"cap_m={value}"] + FAST) == 2
+        assert f"cap_m={value} must be in [2, 2147483648]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_cap_m_runs(self, tmp_path):
+        assert main(["routing", "--out", str(tmp_path), "--set", "cap_m=2147483648"] + FAST) == 0
+        assert "cap_m=2147483648" in (tmp_path / "report_routing.csv").read_text()
+
     @pytest.mark.parametrize("scenario", ["matrix", "routing", "simulate", "dct-demo"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, scenario):
         args = [scenario, "--out", str(tmp_path), "--seed", "-1", "--set", "n=12",

@@ -556,6 +556,35 @@ class TestSinkCollect:
         assert np.array_equal(system.values, values)
 
 
+    @pytest.mark.parametrize("loss_p", [0.0, 0.3])
+    def test_deep_chain_matches_per_pair_reference(self, monkeypatch, loss_p):
+        # 30 riders 3 m apart in a zigzag, range 8 m: seven rounds, and at
+        # cap_m=4 sensors forward in every round from 3 to 7, so each
+        # round's rows and aggregates reach the next through both the mixed
+        # and the forwarded messages
+        forwards = []
+
+        def recording(state, inbox, rng, cap_m):
+            new_state, msg = step_sensor(state, inbox, rng, cap_m)
+            if inbox and np.count_nonzero(new_state.mix_rows[-1]) == 1:
+                forwards.append(msg.round)
+            return new_state, msg
+
+        monkeypatch.setattr(protocol, "step_sensor", recording)
+        pos = RiderPositions(0.0, np.column_stack([3.0 * np.arange(30), np.tile([-1.0, 1.0], 15)]))
+        sinks = place_sinks(pos)
+        radio = RadioParams(range_m=8.0, loss_p=loss_p, seed=3)
+        readings = np.linspace(8.0, 12.0, 30)
+        result = collect_timestep(
+            readings, pos, sinks, radio, cap_m=4, step_index=2, check_aggregates=1e-9
+        )
+        assert result.rounds_used == 7
+        assert set(forwards) == set(range(3, 8))
+        rows, values = sink_system_reference(readings, pos, sinks, radio, 4, 2)
+        assert np.array_equal(result.system.rows, rows)
+        assert np.array_equal(result.system.values, values)
+
+
 class TestReconstruct:
     def test_identity_rows_determined(self):
         y = [4.0, 5.0, 6.0]
@@ -785,3 +814,19 @@ class TestWireFormat:
         assert msg.payload_bits == 1 * 5 + 64
         with pytest.raises(ConfigError, match="cap_m"):
             advance(40)
+
+        # at cap_m = 2**62 self plus four rows of 2**62 - 1, all signs +1,
+        # would sum to 5 * (2**62 - 1), which wraps in int64 to 2**62 - 5 and
+        # would be sent with aggregate 5.0; a cap above MAX_CAP is refused
+        def message(sender):
+            row = np.array([2**62 - 1, 0, 0, 0, 0], dtype=np.int64)
+            return AggregateMessage(sender, 2, row, 1.0, 0)
+
+        state = SensorState(id=0, round=2, coeff_row=message(0).coeff_row, aggregate=1.0)
+        inbox = [message(j) for j in range(1, 5)]
+        with pytest.raises(ConfigError, match=r"cap_m=4611686018427387904"):
+            step_sensor(state, inbox, SensorDraws(np.full(5, 0.75)), cap_m=2**62)
+        assert payload_bits(1, protocol.MAX_CAP) == 31 + 64
+        for cap_m in (1, protocol.MAX_CAP + 1):
+            with pytest.raises(ConfigError, match=rf"cap_m={cap_m} must be in \[2, {protocol.MAX_CAP}\]"):
+                payload_bits(1, cap_m)
