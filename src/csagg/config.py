@@ -22,6 +22,9 @@ from .protocol import MAX_CAP
 from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
+# most elements in an array that a size key makes (validate lists them), so
+# a larger size exits 2 up front instead of failing deep in numpy
+MAX_ELEMENTS = 2**31
 GRAPH_MODES = ("reconstruction", "truth")
 
 
@@ -59,10 +62,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.graph_mode not in GRAPH_MODES:
             raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}")
-        if not 0.0 <= self.loss_p <= 1.0:
-            raise ConfigError("loss_p must be in [0, 1]")
-        if self.range_m <= 0:
-            raise ConfigError("range_m must be positive")
+        self.radio()  # RadioParams checks range_m and loss_p
         if self.k_measurements < 1 or self.k_neighbors < 1:
             raise ConfigError("k_measurements and k_neighbors must be >= 1")
         if not 2 <= self.cap_m <= MAX_CAP:
@@ -78,6 +78,13 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
         self.peloton.validate()
+        n = self.peloton.n
+        # each array's own size key first: n x n before k_measurements x n
+        sizes = (("n", n, n), ("k_measurements", self.k_measurements, n),
+                 ("dct_n", self.dct_n, self.dct_n), ("dct_k", self.dct_k, self.dct_n))
+        for key, rows, cols in sizes:
+            if rows * cols > MAX_ELEMENTS:
+                raise ConfigError(f"{key}={rows} makes a {rows}x{cols} array; the limit is {MAX_ELEMENTS} elements")
         # an ingested trace's rider count is checked once it is loaded
         simulated = self.scenario in ("matrix", "routing") and not self.trace_path
         if (simulated or self.scenario == "simulate") and self.seed != self.peloton.seed:
@@ -187,13 +194,9 @@ def apply_setting(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConf
     return replace(cfg, **{field: parsed})
 
 
-def load_config(
-    path: str | None = None,
-    overrides: list[str] | None = None,
-    base: ExperimentConfig | None = None,
-) -> ExperimentConfig:
+def load_config(path: str | None = None, overrides: list[str] | None = None) -> ExperimentConfig:
     """Build a config from an optional file plus `key=value` override strings."""
-    cfg = base if base is not None else ExperimentConfig()
+    cfg = ExperimentConfig()
     entries: list[tuple[str, str]] = []
     if path is not None:
         text = io.StringIO(read_utf8(path, ConfigError), newline=None)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_lines
 from .errors import ConfigError
-from .graph import NeighborGraph, RiderPositions, knn_graph
+from .graph import RiderPositions, knn_graph
 from .linalg import LpStatus, dct_matrix, rank, solve_lp
 from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
@@ -38,38 +38,6 @@ def load_race(cfg: ExperimentConfig) -> RaceTrace:
     if cfg.steps > 0:
         peloton = replace(peloton, duration=min(peloton.duration, (cfg.steps + 1) * peloton.dt))
     return simulate_race(peloton)
-
-
-class _GraphTracker:
-    """Builds the per-step k-NN graph from previous-instant positions.
-
-    In "truth" mode the true previous frame is used. In "reconstruction"
-    mode the sink integrates its own velocity estimates from the true
-    initial along-road positions (lateral treated as 0), so after warm-up
-    the graph reflects what the sink actually knows.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, trace: RaceTrace):
-        self.cfg = cfg
-        self.trace = trace
-        self.s_hat = trace.frames[0].pos[:, 0].copy()
-
-    def graph_for_step(self, i: int) -> NeighborGraph:
-        if self.cfg.graph_mode == "truth" or i == 0:
-            prev = self.trace.frames[i]
-        else:
-            prev = RiderPositions(
-                time=self.trace.frames[i].time,
-                pos=np.column_stack([self.s_hat, np.zeros_like(self.s_hat)]),
-            )
-        return knn_graph(prev, self.cfg.k_neighbors)
-
-    def advance(self, estimate: np.ndarray) -> None:
-        self.s_hat = self.s_hat + self.trace.dt * estimate
-
-
-def _step_count(cfg: ExperimentConfig, n_frames: int) -> int:
-    return n_frames if cfg.steps == 0 else min(cfg.steps, n_frames)
 
 
 def _report_path(cfg: ExperimentConfig) -> str:
@@ -115,7 +83,13 @@ def _run(
     """The step loop both experiments share. collect(cfg, trace, i, x) gives
     the sink's equations for step i, whose true velocities are x. A step
     whose sinks received no equation is reported as "no-data" and keeps the
-    previous estimate (zeros before the first one)."""
+    previous estimate (zeros before the first one).
+
+    Step i's k-NN graph is built from the previous instant's positions. In
+    "truth" mode these are the true frame i. In "reconstruction" mode the
+    sink integrates its own velocity estimates, s_hat, from the true initial
+    along-road positions (lateral treated as 0), so after warm-up the graph
+    reflects what the sink actually knows."""
     _check_scenario(cfg, scenario)
     trace = load_race(cfg)
     if cfg.k_neighbors >= trace.n:
@@ -123,17 +97,20 @@ def _run(
             f"k_neighbors={cfg.k_neighbors} must be smaller than the number of riders ({trace.n})"
         )
     vels = velocities(trace)
-    tracker = _GraphTracker(cfg, trace)
+    s_hat = trace.frames[0].pos[:, 0]
     reports = []
     estimate = np.zeros(trace.n)
-    for i in range(_step_count(cfg, len(vels))):
+    for i in range(min(cfg.steps or len(vels), len(vels))):  # steps=0: every frame
         x = vels[i].x
         result = collect(cfg, trace, i, x)
         if result.system.k:
-            estimate, tag = reconstruct(result.system, tracker.graph_for_step(i))
+            prev = trace.frames[i]
+            if cfg.graph_mode != "truth" and i > 0:
+                prev = RiderPositions(time=prev.time, pos=np.column_stack([s_hat, np.zeros_like(s_hat)]))
+            estimate, tag = reconstruct(result.system, knn_graph(prev, cfg.k_neighbors))
         else:
             tag = "no-data"
-        tracker.advance(estimate)
+        s_hat = s_hat + trace.dt * estimate
         reports.append(
             StepReport(
                 time=vels[i].time,

@@ -69,10 +69,6 @@ class RaceTrace:
     def n(self) -> int:
         return self.frames[0].n
 
-    @property
-    def duration(self) -> float:
-        return self.dt * (len(self.frames) - 1)
-
 
 @dataclass(frozen=True)
 class PelotonParams:

@@ -26,11 +26,12 @@ the inboxes and the heard senders through one who-heard-whom table
 (unit_round_terms).
 
 The random draws are counter-based: draw j of sensor i in round r of step t
-is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j) turned into a
-uniform in [0, 1), so a sensor's draws depend on nothing but that key. Each
-round hashes one block per stepped sensor in a single array call; a block
-holds the subsample's uniforms (only when the inbox overflows the cap),
-then one uniform per sign, self first and the inbox in sender order.
+is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j), its prefix
+from radio.key_chain, turned into a uniform in [0, 1), so a sensor's draws
+depend on nothing but that key. Each round hashes one block per stepped
+sensor in a single array call; a block holds the subsample's uniforms (only
+when the inbox overflows the cap), then one uniform per sign, self first and
+the inbox in sender order.
 
 Every message a sink hears contributes one linear equation
 aggregate = coeff_row . X to the sink-side system, a sparsity.Measurement
@@ -59,6 +60,7 @@ from .radio import (
     compute_reachability,
     hop_distance_to_sinks,
     in_range_links,
+    key_chain,
 )
 from .sparsity import Measurement, build_pairwise_l1, decode_consistent
 
@@ -124,9 +126,7 @@ def sensor_uniforms(
     step_index, round_index, i, j), independent of the other sensors asked
     for and of their order.
     """
-    key = _splitmix64(np.uint64(DRAW_TAG))
-    for part in (seed & 0xFFFFFFFFFFFFFFFF, step_index, round_index):
-        key = _splitmix64(key ^ np.uint64(part))
+    key = key_chain(DRAW_TAG, seed, step_index, round_index)
     per_sensor = _splitmix64(key ^ np.asarray(sensors).astype(np.uint64))
     counts = np.asarray(counts, dtype=np.int64)
     first = np.cumsum(counts) - counts

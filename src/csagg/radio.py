@@ -4,10 +4,10 @@ in_range_links lists the timestep's directed (sender, receiver) pairs at
 distance <= range_m once; hop counts and every round's deliveries read it.
 
 Delivery randomness is counter-based: each directed link draws one uniform
-from a splitmix64 hash of (seed, timestep, round, sender, receiver) and the
-packet is delivered iff the draw is >= loss_p. This makes runs reproducible,
-order-independent, and monotone in loss_p (raising p only removes
-deliveries).
+from the splitmix64 chain of (seed, timestep, round, sender, receiver), its
+prefix from key_chain as protocol's draws, and is delivered iff the draw is
+>= loss_p. This makes runs reproducible, order-independent, and monotone in
+loss_p (raising p only removes deliveries).
 
 Node ids: riders are 0..n-1, sinks are n..n+s-1. Sinks never transmit.
 """
@@ -43,27 +43,34 @@ class Reachability:
     delivered: np.ndarray  # (m, 2) (sender, receiver) pairs, lexicographically sorted
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    # array-typed (>= 1-d) throughout: numpy scalar uints warn on wraparound
-    x = (np.atleast_1d(np.asarray(x, dtype=np.uint64)) + _GOLDEN).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
+def _splitmix64(x: int | np.ndarray) -> int | np.ndarray:
+    """One splitmix64 step on a Python int, or elementwise on a uint64 array
+    of at least one dimension (a numpy scalar warns when it wraps)."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+    return x ^ x >> 31
+
+
+def key_chain(*parts: int) -> np.uint64:
+    """The splitmix64 chain of the parts, each taken modulo 2**64: each part
+    is xored into the key so far (0 at the start) and hashed. It hashes a
+    few values per call, so it runs on Python ints: on one-element arrays
+    numpy's per-call overhead is most of the cost."""
+    key = 0
+    for part in parts:
+        key = _splitmix64(key ^ part)
+    return np.uint64(key)
 
 
 def link_uniforms(
     seed: int, time: float, round_index: int, senders: np.ndarray, receivers: np.ndarray
 ) -> np.ndarray:
     """One uniform in [0, 1) per directed link, keyed independently of call order."""
-    base = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    base = _splitmix64(base ^ np.float64(time).view(np.uint64))
-    base = _splitmix64(base ^ np.uint64(round_index))
+    base = key_chain(seed, int(np.float64(time).view(np.uint64)), round_index)
     z = _splitmix64(base ^ senders.astype(np.uint64) * np.uint64(0x2545F4914F6CDD1D))
     z = _splitmix64(z ^ receivers.astype(np.uint64))
     return (z >> np.uint64(11)) * 2.0**-53

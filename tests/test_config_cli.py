@@ -15,6 +15,7 @@ from csagg.cli import main
 from csagg.config import (
     GRAPH_MODES,
     KEYS,
+    MAX_ELEMENTS,
     SCENARIOS,
     ExperimentConfig,
     apply_setting,
@@ -49,8 +50,10 @@ _PROFILE = st.lists(
 _SETTINGS = {
     "scenario": st.sampled_from(SCENARIOS),
     "seed": _ints(0, 2**32 - 1),
-    # matrix and routing need k_neighbors < n for a simulated race
-    "n": _ints(11),
+    # matrix and routing need k_neighbors < n for a simulated race; n x n,
+    # k_measurements x n, dct_n x dct_n and dct_k x dct_n stay within
+    # MAX_ELEMENTS
+    "n": _ints(11, 46340),
     "duration_s": _POSITIVE,
     "dt_s": _POSITIVE,
     "base_speed_profile": _PROFILE,
@@ -66,7 +69,7 @@ _SETTINGS = {
     "trace": st.text("abc/._-0123456789", min_size=1, max_size=12),
     "range_m": _POSITIVE,
     "loss_p": _floats(min_value=0.0, max_value=1.0),
-    "k_measurements": _ints(1),
+    "k_measurements": _ints(1, 46341),
     "k_neighbors": _ints(1, 10),
     "cap_m": _ints(2),
     "graph_mode": st.sampled_from(GRAPH_MODES),
@@ -74,10 +77,10 @@ _SETTINGS = {
     "check_aggregates": st.sampled_from(["true", "false"]),
     # validate needs dct_sparsity <= dct_n and dct_losses < dct_n, whichever
     # of the three keys are drawn (the default dct_n is 100)
-    "dct_n": _ints(100),
+    "dct_n": _ints(100, 46340),
     "dct_sparsity": _ints(1, 100),
     "dct_losses": _ints(0, 99),
-    "dct_k": _ints(1),
+    "dct_k": _ints(1, 46341),
 }
 
 
@@ -195,6 +198,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides)
 
+    # a product of exactly MAX_ELEMENTS passes and one element more exits;
+    # n x n and dct_n x dct_n are squares, so they pass at the largest square
+    # below the limit and exit at the next. Only validate runs, so nothing
+    # is allocated
+    @pytest.mark.parametrize(
+        "sizes, key",
+        [
+            ({"n": 128, "k_measurements": 2**24}, None),
+            ({"n": 3, "k_measurements": 715827883}, "k_measurements"),
+            ({"n": 46340}, None),
+            ({"n": 46341}, "n"),
+            ({"dct_n": 128, "dct_k": 2**24}, None),
+            ({"dct_n": 3, "dct_k": 715827883}, "dct_k"),
+            ({"dct_n": 46340}, None),
+            ({"dct_n": 46341}, "dct_n"),
+        ],
+    )
+    def test_size_limit(self, sizes, key):
+        assert 128 * 2**24 == MAX_ELEMENTS and 3 * 715827883 == MAX_ELEMENTS + 1
+        cfg = ExperimentConfig()
+        for name, value in {"k_neighbors": 1, "dct_sparsity": 1, "dct_losses": 0, **sizes}.items():
+            cfg = apply_setting(cfg, name, str(value))
+        if key is None:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match=rf"^{key}=\d+ makes a \d+x\d+ array; the limit is {MAX_ELEMENTS} "):
+                cfg.validate()
+
     @pytest.mark.parametrize("scenario", ["matrix", "routing", "simulate"])
     def test_seed_must_match_simulated_race(self, scenario):
         cfg = ExperimentConfig(scenario=scenario, seed=5)
@@ -291,6 +322,19 @@ class TestCli:
     def test_cap_m_out_of_range_exits_2(self, tmp_path, capsys, value):
         assert main(["routing", "--out", str(tmp_path), "--set", f"cap_m={value}"] + FAST) == 2
         assert f"cap_m={value} must be in [2, 2147483648]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    # a size too large for any array exits 2 before the run starts, as an
+    # out-of-range cap_m does, instead of exiting 1 from deep in numpy
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [("matrix", "k_measurements"), ("dct-demo", "dct_k"), ("routing", "n")],
+    )
+    def test_oversized_key_exits_2(self, tmp_path, capsys, scenario, key):
+        assert main([scenario, "--out", str(tmp_path), "--set", f"{key}=99999999999999999999"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}=99999999999999999999 makes a " in err
+        assert f"the limit is {MAX_ELEMENTS} elements" in err
         assert not list(tmp_path.iterdir())
 
     def test_largest_cap_m_runs(self, tmp_path):

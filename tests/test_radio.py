@@ -10,11 +10,12 @@ from csagg.radio import (
     compute_reachability,
     hop_distance_to_sinks,
     in_range_links,
+    key_chain,
     link_uniforms,
     place_sinks,
 )
 from csagg.protocol import MIN_ROUNDS
-from helpers import hops_dijkstra_reference, hops_reference, reachability_reference
+from helpers import hops_dijkstra_reference, hops_reference, reachability_reference, splitmix64_reference
 
 NO_SINKS = np.zeros((0, 2))
 
@@ -94,6 +95,36 @@ class TestLinkUniforms:
         u_fwd = link_uniforms(9, 1.0, 2, np.array([1]), np.array([2]))
         u_rev = link_uniforms(9, 1.0, 2, np.array([2]), np.array([1]))
         assert u_fwd[0] != u_rev[0]
+
+    # exact uniforms of four (seed, time, round, sender, receiver) keys, so a
+    # change to any bit of the link stream fails here and not only through
+    # the reports it moves
+    @pytest.mark.parametrize(
+        "seed, time, round_index, sender, receiver, u",
+        [
+            (0, 0.0, 1, 0, 1, 0.9025694813249272),
+            (9, 1.0, 2, 3, 4, 0.06932982281546274),
+            (2**64 - 1, 33.5, 7, 129, 131, 0.24739541040817004),
+            (123456789, 0.25, 3, 57, 12, 0.8517675860172322),
+        ],
+    )
+    def test_pinned_values(self, seed, time, round_index, sender, receiver, u):
+        assert link_uniforms(seed, time, round_index, np.array([sender]), np.array([receiver]))[0] == u
+
+
+class TestKeyChain:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    def test_matches_the_reference_chain(self, parts):
+        key = splitmix64_reference(parts[0])
+        for part in parts[1:]:
+            key = splitmix64_reference(key ^ part)
+        assert key_chain(*parts) == np.uint64(key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4))
+    def test_parts_taken_modulo_2_64(self, parts):
+        assert key_chain(*parts) == key_chain(*(part % 2**64 for part in parts))
 
 
 class TestHopDistance:
