@@ -83,9 +83,8 @@ def _resolve_config(args: argparse.Namespace, scenario: str | None = None):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "simulate")
-    trace = simulate_race(cfg.peloton)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "trace.csv")
+    path = cfg.output("trace.csv")
+    trace = simulate_race(cfg.race())
     with open(path, "w", encoding="utf-8") as out:
         write_trace_csv(trace, out)
     print(f"wrote {path} ({trace.n} riders, {len(trace.frames)} frames)")

@@ -12,13 +12,14 @@ finiteness check all read it, so a key is declared once.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .mobility import PelotonParams, SpeedProfile, read_utf8
-from .protocol import MAX_CAP
+from .protocol import payload_bits
 from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
@@ -51,6 +52,23 @@ class ExperimentConfig:
     def radio(self) -> RadioParams:
         return RadioParams(range_m=self.range_m, loss_p=self.loss_p, seed=self.seed)
 
+    def race(self) -> PelotonParams:
+        """The race a run simulates: its first steps + 1 frames, as step i
+        reads frames i and i+1, and the simulator draws frame by frame, so
+        they are exactly the start of the whole race that `simulate` writes."""
+        peloton = self.peloton
+        if self.steps > 0 and self.scenario != "simulate":
+            peloton = replace(peloton, duration=min(peloton.duration, (self.steps + 1) * peloton.dt))
+        return peloton
+
+    def output(self, name: str) -> str:
+        """`<out>/<name>`, making out a directory or raising ConfigError naming it."""
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out={self.out_dir} cannot be made a directory: {exc.strerror}") from exc
+        return os.path.join(self.out_dir, name)
+
     def validate(self) -> None:
         for key, (owner, field, kind) in KEYS.items():
             value = _value(self, owner, field)
@@ -65,8 +83,7 @@ class ExperimentConfig:
         self.radio()  # RadioParams checks range_m and loss_p
         if self.k_measurements < 1 or self.k_neighbors < 1:
             raise ConfigError("k_measurements and k_neighbors must be >= 1")
-        if not 2 <= self.cap_m <= MAX_CAP:
-            raise ConfigError(f"cap_m={self.cap_m} must be in [2, {MAX_CAP}]")
+        payload_bits(self.peloton.n, self.cap_m)  # checks cap_m
         if min(self.dct_n, self.dct_sparsity, self.dct_k) < 1 or self.dct_losses < 0:
             raise ConfigError("dct-demo sizes must be positive (losses >= 0)")
         if self.dct_sparsity > self.dct_n:
@@ -87,11 +104,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}={rows} makes a {rows}x{cols} array; the limit is {MAX_ELEMENTS} elements")
         # an ingested trace's rider count is checked once it is loaded
         simulated = self.scenario in ("matrix", "routing") and not self.trace_path
-        if (simulated or self.scenario == "simulate") and self.seed != self.peloton.seed:
-            raise ConfigError(
-                f"seed={self.seed} differs from peloton.seed={self.peloton.seed}; "
-                "the report header's one seed= line would simulate another race"
-            )
+        if simulated or self.scenario == "simulate":
+            if self.seed != self.peloton.seed:
+                raise ConfigError(
+                    f"seed={self.seed} differs from peloton.seed={self.peloton.seed}; "
+                    "the report header's one seed= line would simulate another race"
+                )
+            frames = self.race().duration / self.peloton.dt  # a float: it may overflow
+            if frames * n * 2 > MAX_ELEMENTS:
+                raise ConfigError(
+                    f"duration_s={self.peloton.duration:g} and dt_s={self.peloton.dt:g} make "
+                    f"{frames:.3g} frames of {n}x2 positions; the limit is {MAX_ELEMENTS} elements"
+                )
         if simulated and self.k_neighbors >= self.peloton.n:
             raise ConfigError(f"k_neighbors={self.k_neighbors} must be smaller than n={self.peloton.n}")
 

@@ -3,8 +3,7 @@ routing, and the lost-data DCT demonstration."""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from .config import ExperimentConfig, config_lines
 from .errors import ConfigError
 from .graph import RiderPositions, knn_graph
-from .linalg import LpStatus, dct_matrix, rank, solve_lp
+from .linalg import dct_matrix, rank, solve_lp
 from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
 from .protocol import CollectionResult, collect_timestep, reconstruct
@@ -28,28 +27,26 @@ class RunResult:
 
 
 def load_race(cfg: ExperimentConfig) -> RaceTrace:
-    """The ingested trace, or the simulated race up to the last frame a run
-    of cfg.steps steps reads. Step i reads frames i and i+1, so `steps` steps
-    need steps + 1 frames; the simulator draws its random numbers frame by
-    frame, so a shorter race is exactly the start of the full one."""
-    if cfg.trace_path:
-        return ingest_trace(cfg.trace_path, cfg.peloton.dt)
-    peloton = cfg.peloton
-    if cfg.steps > 0:
-        peloton = replace(peloton, duration=min(peloton.duration, (cfg.steps + 1) * peloton.dt))
-    return simulate_race(peloton)
+    """The simulated race cfg.race(), or the ingested trace, which must hold
+    more riders than k_neighbors (validate checks a simulated race's n)."""
+    if not cfg.trace_path:
+        return simulate_race(cfg.race())
+    trace = ingest_trace(cfg.trace_path, cfg.peloton.dt)
+    if cfg.k_neighbors >= trace.n:
+        raise ConfigError(
+            f"k_neighbors={cfg.k_neighbors} must be smaller than the number of riders ({trace.n})"
+        )
+    return trace
 
 
-def _report_path(cfg: ExperimentConfig) -> str:
-    """`<out>/report_<scenario>.csv`, creating the directory."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, f"report_{cfg.scenario.replace('-', '_')}.csv")
-
-
-def _check_scenario(cfg: ExperimentConfig, scenario: str) -> None:
+def _start(cfg: ExperimentConfig, scenario: str, load: Callable[[ExperimentConfig], RaceTrace | None]):
+    """(load(cfg), `<out>/report_<scenario>.csv`) for a cfg of that scenario,
+    validated first. The out directory is made after the input loads, so a
+    bad input leaves none behind, and before any step runs."""
     if cfg.scenario != scenario:
         raise ConfigError(f"{scenario} run called with scenario={cfg.scenario!r}")
     cfg.validate()
+    return load(cfg), cfg.output(f"report_{scenario.replace('-', '_')}.csv")
 
 
 def _collect_matrix(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarray) -> CollectionResult:
@@ -90,12 +87,7 @@ def _run(
     sink integrates its own velocity estimates, s_hat, from the true initial
     along-road positions (lateral treated as 0), so after warm-up the graph
     reflects what the sink actually knows."""
-    _check_scenario(cfg, scenario)
-    trace = load_race(cfg)
-    if cfg.k_neighbors >= trace.n:
-        raise ConfigError(
-            f"k_neighbors={cfg.k_neighbors} must be smaller than the number of riders ({trace.n})"
-        )
+    trace, path = _start(cfg, scenario, load_race)
     vels = velocities(trace)
     s_hat = trace.frames[0].pos[:, 0]
     reports = []
@@ -123,7 +115,6 @@ def _run(
                 mean_payload_bits=result.mean_payload_bits,
             )
         )
-    path = _report_path(cfg)
     with open(path, "w", encoding="utf-8") as out:
         write_report_csv(out, reports, config_lines(cfg))
     return RunResult(reports=reports, summary=summarize(reports), report_path=path)
@@ -157,15 +148,12 @@ def dct_demo_signal(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarr
 
 def _basis_recover(a: np.ndarray, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     meas = Measurement(a, y)
-    sol = solve_lp(build_basis_l1(meas, phi))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ConfigError(f"basis recovery LP came back {sol.status.value}")
-    return decode_consistent(sol, meas)
+    return decode_consistent(solve_lp(build_basis_l1(meas, phi)), meas)
 
 
 def run_dct_demo(cfg: ExperimentConfig) -> DctDemoResult:
     """Lost-data demonstration: zero-filling vs column-removal basis-L1 recovery."""
-    _check_scenario(cfg, "dct-demo")
+    _, path = _start(cfg, "dct-demo", lambda cfg: None)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xDC7)))
     n = cfg.dct_n
     x = dct_demo_signal(cfg, rng)
@@ -187,7 +175,6 @@ def run_dct_demo(cfg: ExperimentConfig) -> DctDemoResult:
     estimate_kept = synth @ _basis_recover(a_kept @ synth, a_kept @ x[kept], np.eye(n))
     stress_col = stress(x[kept], estimate_kept)
 
-    path = _report_path(cfg)
     with open(path, "w", encoding="utf-8") as out:
         for line in config_lines(cfg):
             out.write(f"# {line}\n")

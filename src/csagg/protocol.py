@@ -10,20 +10,18 @@ the sensor forwards its previous message instead. A sensor with more than
 cap_m - 1 messages in its inbox combines a uniform subsample of cap_m - 1.
 
 Each round r >= 2 is one signed mixing matrix M_r on the combination rows,
-R_r = M_r R_(r-1), with R_1 the identity. In collect_timestep each round
-hands the next two arrays: the combination rows, one int64 row per sensor,
-and their aggregates. Round 1 is the identity and the readings. Round 2
-mixes unit rows only, so every sensor's combination row is its own mixing
-row, no coefficient can reach cap_m >= 2 and no sensor forwards: M_2 comes
-from (row, col, sign) triples (unit_round_terms, mixing_matrix) and its
-aggregates are summed term by term, self first, as step_sensor sums them
-(mix_aggregates). Rounds 3 and later mix rows that are already sums, where
-a coefficient can overflow the cap and the sensor forwards: they build
-message and state objects from the two arrays, step each sensor with
-step_sensor and stack the sent messages back. A round's deliveries become
-the inboxes and the heard senders through one who-heard-whom table
-(receptions), and each over-cap inbox's subsample is one np.partition
-(unit_round_terms).
+R_r = M_r R_(r-1), with R_1 the identity. collect_timestep makes one pass
+per round, and each round hands the next two arrays: the combination rows,
+one int64 row per sensor, and their aggregates. Round 1 is the identity and
+the readings. Round 2 mixes unit rows only, so no coefficient can reach
+cap_m >= 2 and no sensor forwards: M_2 comes from (row, col, sign) triples
+(unit_round_terms, mixing_matrix) and its aggregates are summed term by
+term, self first, as step_sensor sums them (mix_aggregates). Rounds 3 and
+later mix rows that are already sums, where a coefficient can overflow the
+cap: they build one message per sensor from the two arrays, step each
+sensor with step_sensor and stack the sent messages back. A round's
+deliveries become the heard senders and the next round's inboxes through
+one who-heard-whom table (receptions).
 
 The random draws are counter-based: draw j of sensor i in round r of step t
 is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j), its prefix
@@ -52,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
 from .graph import NeighborGraph, smallest_per_row
-from .linalg import LpStatus, least_squares, rank, solve_lp
+from .linalg import least_squares, rank, solve_lp
 from .radio import (
     RadioParams,
     RiderPositions,
@@ -107,14 +105,7 @@ def initial_state(sensor_id: int, n: int, reading: float, cap_m: int = DEFAULT_C
     row = np.zeros(n, dtype=np.int64)
     row[sensor_id] = 1
     state = SensorState(id=sensor_id, round=1, coeff_row=row, aggregate=float(reading))
-    msg = AggregateMessage(
-        sender=sensor_id,
-        round=1,
-        coeff_row=row,
-        aggregate=float(reading),
-        payload_bits=payload_bits(n, cap_m),
-    )
-    return state, msg
+    return state, AggregateMessage(sensor_id, 1, row, float(reading), payload_bits(n, cap_m))
 
 
 def sensor_uniforms(
@@ -129,8 +120,7 @@ def sensor_uniforms(
     key = key_chain(DRAW_TAG, seed, step_index, round_index)
     per_sensor = _splitmix64(key ^ np.asarray(sensors).astype(np.uint64))
     counts = np.asarray(counts, dtype=np.int64)
-    first = np.cumsum(counts) - counts
-    draw = np.arange(counts.sum()) - np.repeat(first, counts)
+    draw = ranges(np.zeros_like(counts), counts)
     z = _splitmix64(np.repeat(per_sensor, counts) ^ draw.astype(np.uint64))
     return (z >> np.uint64(11)) * 2.0**-53
 
@@ -324,14 +314,7 @@ def reconstruct(system: Measurement, graph: NeighborGraph) -> tuple[np.ndarray, 
         raise DimensionError("cannot reconstruct from an empty system")
     if rank(system.rows) == system.n:
         return least_squares(system.rows, system.values), "determined"
-    problem = build_pairwise_l1(system, graph.edges)
-    sol = solve_lp(problem)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise NumericalError(
-            f"CS linear program came back {sol.status.value}; "
-            "rows of a consistent system cannot be infeasible"
-        )
-    return decode_consistent(sol, system), "cs-lp"
+    return decode_consistent(solve_lp(build_pairwise_l1(system, graph.edges)), system), "cs-lp"
 
 
 @dataclass(frozen=True)
@@ -402,12 +385,14 @@ def collect_timestep(
 ) -> CollectionResult:
     """Run one timestep's L rounds of broadcast, aggregation and sink collection.
 
-    Each round r >= 2 maps round r - 1's combination rows and aggregates to
-    the same two arrays for the sensors it steps. The sink system holds
-    every broadcast a sink hears, by round and then by sender, without exact
-    duplicates. A round-L message that no sink hears is never read, so the
-    last round steps only the senders a sink hears; a sensor's draws are
-    keyed by its id alone, so this changes no equation. check_aggregates,
+    One pass per round: round r's deliveries give the senders the sinks hear
+    in round r and the inboxes round r + 1 reads, and round r >= 2 maps
+    round r - 1's combination rows and aggregates to the same two arrays for
+    the sensors it steps. The sink system holds every broadcast a sink
+    hears, by round and then by sender, without exact duplicates. A round-L
+    message that no sink hears is never read, so the last round steps only
+    the heard senders; a sensor's draws are keyed by its id alone, so this
+    changes no equation. check_aggregates,
     when set, asserts aggregate == coeff_row . readings within that
     tolerance for every computed message (debug hook); an error names the
     sensor and round.
@@ -420,63 +405,62 @@ def collect_timestep(
     links = in_range_links(positions, sinks, radio.range_m)
     hops = hop_distance_to_sinks(links, n)
     rounds_total, uncoverable = plan_rounds(hops)
-    heard, inbox_sizes, inbox_senders = zip(*(
-        receptions(compute_reachability(links, positions.time, radio, rnd).delivered, n)
-        for rnd in range(1, rounds_total + 1)
-    ))
 
     # round 1 is the identity: each sensor sends its reading with the unit
     # row e_i, so the sinks' round-1 equations are the heard senders' e_i
     rows, aggregates = np.eye(n, dtype=np.int64), readings
-    rows_heard, values_heard = [rows[heard[0]]], [aggregates[heard[0]]]
-    for rnd in range(2, rounds_total + 1):
-        # rows and aggregates hold round rnd - 1's messages, one per sensor;
-        # round rnd steps every sensor, or in the last round the heard ones
-        senders = heard[rnd - 1] if rnd == rounds_total else np.arange(n)
-        all_sizes, inbox_from = inbox_sizes[rnd - 2], inbox_senders[rnd - 2]
-        sizes, starts = all_sizes[senders], (np.cumsum(all_sizes) - all_sizes)[senders]
-        # a block holds exactly the uniforms step_sensor draws
-        subsample, signs = block_layout(sizes, cap_m)
-        uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, subsample + signs)
-        if rnd == 2:
-            # every input is a unit row, so each sensor's new row is its row
-            # of M_2, whose +/-1 entries never reach cap_m >= 2
-            terms = unit_round_terms(senders, starts, sizes, inbox_from, uniforms, cap_m)
-            rows = mixing_matrix(*terms, (n, n))
-            aggregates = mix_aggregates(*terms, aggregates, n)
-        else:
-            # objects from the two arrays, the sent messages stacked back
-            read = inbox_from[ranges(starts, sizes)]
-            values = aggregates.tolist()
-            messages = {
-                j: AggregateMessage(j, rnd - 1, rows[j], values[j], message_bits)
-                for j in np.unique(read).tolist()
-            }
-            inbox_msgs = [messages[j] for j in read.tolist()]
-            inbox_bounds = [0, *np.cumsum(sizes).tolist()]
-            block_bounds = [0, *np.cumsum(subsample + signs).tolist()]
-            sent = [
-                step_sensor(
-                    SensorState(i, rnd - 1, rows[i], values[i]),
-                    inbox_msgs[inbox_bounds[k] : inbox_bounds[k + 1]],
-                    SensorDraws(uniforms[block_bounds[k] : block_bounds[k + 1]]),
-                    cap_m,
-                )[1]
-                for k, i in enumerate(senders.tolist())
-            ]
-            rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)
-            aggregates = np.array([msg.aggregate for msg in sent], dtype=float)
-        if check_aggregates is not None:
-            err = np.abs(aggregates - rows @ readings)
-            bad = np.flatnonzero(err > check_aggregates)
-            if bad.size:
-                raise NumericalError(
-                    f"aggregate drifted from coeff_row . X by {err[bad[0]]:.3e} "
-                    f"(sensor {senders[bad[0]]}, round {rnd})"
-                )
-        pick = np.searchsorted(senders, heard[rnd - 1])
-        rows_heard.append(rows[pick])
-        values_heard.append(aggregates[pick])
+    rows_heard, values_heard = [], []
+    for rnd in range(1, rounds_total + 1):
+        # rows and aggregates hold round rnd - 1's messages, one per sensor,
+        # and inbox_sizes and inbox_from the inboxes they reached
+        delivered = compute_reachability(links, positions.time, radio, rnd).delivered
+        heard, next_sizes, next_from = receptions(delivered, n)
+        last = rnd == rounds_total
+        if rnd > 1:
+            # round rnd steps every sensor, or in the last round the heard ones
+            senders = heard if last else np.arange(n)
+            sizes, starts = inbox_sizes[senders], (np.cumsum(inbox_sizes) - inbox_sizes)[senders]
+            # a block holds exactly the uniforms step_sensor draws
+            subsample, signs = block_layout(sizes, cap_m)
+            uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, subsample + signs)
+            if rnd == 2:
+                # every input is a unit row, so each sensor's new row is its
+                # row of M_2, whose +/-1 entries never reach cap_m >= 2
+                terms = unit_round_terms(senders, starts, sizes, inbox_from, uniforms, cap_m)
+                rows = mixing_matrix(*terms, (n, n))
+                aggregates = mix_aggregates(*terms, aggregates, n)
+            else:
+                # objects from the two arrays, the sent messages stacked back
+                values = aggregates.tolist()
+                messages = [
+                    AggregateMessage(j, rnd - 1, rows[j], values[j], message_bits) for j in range(n)
+                ]
+                inbox = inbox_from.tolist()
+                blocks = np.split(uniforms, np.cumsum(subsample + signs)[:-1])
+                sent = [
+                    step_sensor(
+                        SensorState(i, rnd - 1, rows[i], values[i]),
+                        [messages[j] for j in inbox[start : start + size]],
+                        SensorDraws(block),
+                        cap_m,
+                    )[1]
+                    for i, start, size, block in zip(
+                        senders.tolist(), starts.tolist(), sizes.tolist(), blocks
+                    )
+                ]
+                rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)
+                aggregates = np.array([msg.aggregate for msg in sent], dtype=float)
+            if check_aggregates is not None:
+                err = np.abs(aggregates - rows @ readings)
+                bad = np.flatnonzero(err > check_aggregates)
+                if bad.size:
+                    raise NumericalError(
+                        f"aggregate drifted from coeff_row . X by {err[bad[0]]:.3e} "
+                        f"(sensor {senders[bad[0]]}, round {rnd})"
+                    )
+        rows_heard.append(rows if last else rows[heard])
+        values_heard.append(aggregates if last else aggregates[heard])
+        inbox_sizes, inbox_from = next_sizes, next_from
 
     # every sensor sends one message of payload_bits(n, cap_m) per round
     return CollectionResult(

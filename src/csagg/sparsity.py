@@ -122,10 +122,14 @@ def decode_solution(sol: LpSolution, n: int) -> np.ndarray:
 
 
 def decode_consistent(sol: LpSolution, meas: Measurement) -> np.ndarray:
-    """decode_solution, checked against every received row: the builders keep
-    only independent rows, so an inconsistent system still gives an X, and
+    """decode_solution, checked against every received row: the one judge of
+    a builder LP. Its dual is feasible and bounded, so a status other than
+    optimal raises NumericalError naming it. The builders keep only
+    independent rows, so an inconsistent system still gives an X, and
     ||A X - Y||_inf above CONSISTENCY_RTOL * max(1, ||Y||_inf) raises
     NumericalError."""
+    if sol.status is not LpStatus.OPTIMAL:
+        raise NumericalError(f"L1 recovery LP came back {sol.status.value}")
     x = decode_solution(sol, meas.n)
     resid = float(np.max(np.abs(meas.rows @ x - meas.values), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(meas.values), initial=0.0)))

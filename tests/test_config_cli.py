@@ -23,6 +23,7 @@ from csagg.config import (
     load_config,
 )
 from csagg.errors import ConfigError
+from csagg.linalg import LpSolution, LpStatus
 from csagg.metrics import stress
 from csagg.mobility import PelotonParams, simulate_race, velocities
 from csagg.protocol import CollectionResult
@@ -52,10 +53,10 @@ _SETTINGS = {
     "seed": _ints(0, 2**32 - 1),
     # matrix and routing need k_neighbors < n for a simulated race; n x n,
     # k_measurements x n, dct_n x dct_n and dct_k x dct_n stay within
-    # MAX_ELEMENTS
+    # MAX_ELEMENTS, and so do a race's (duration_s / dt_s) x n x 2 positions
     "n": _ints(11, 46340),
-    "duration_s": _POSITIVE,
-    "dt_s": _POSITIVE,
+    "duration_s": _floats(min_value=0.0, exclude_min=True, max_value=1e3),
+    "dt_s": _floats(min_value=0.1, max_value=1e6),
     "base_speed_profile": _PROFILE,
     "separation_gain": _NONNEGATIVE,
     "alignment_gain": _NONNEGATIVE,
@@ -336,6 +337,55 @@ class TestCli:
         assert f"{key}=99999999999999999999 makes a " in err
         assert f"the limit is {MAX_ELEMENTS} elements" in err
         assert not list(tmp_path.iterdir())
+
+    # frames x n x 2 positions bound the race; a huge duration_s / dt_s
+    # overflows to an infinite frame count, which must not reach int()
+    @pytest.mark.parametrize(
+        "scenario, race",
+        [("simulate", ["duration_s=1e308", "dt_s=1e-308"]), ("simulate", ["duration_s=1e12"]),
+         ("routing", ["duration_s=1e12"])],
+    )
+    def test_race_too_long_exits_2(self, tmp_path, capsys, scenario, race):
+        args = [scenario, "--out", str(tmp_path)] + [a for kv in race for a in ("--set", kv)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error: duration_s=" in err and " dt_s=" in err
+        assert f"the limit is {MAX_ELEMENTS} elements" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_long_race_runs_when_steps_cut_it(self, tmp_path):
+        # steps=3 simulates 4 frames of the 1e12 s race
+        args = ["routing", "--out", str(tmp_path), "--set", "duration_s=1e12", "--set", "steps=3",
+                "--set", "n=12", "--set", "init_length_m=60", "--set", "k_neighbors=4"]
+        assert main(args) == 0
+        assert "# duration_s=1e+12" in (tmp_path / "report_routing.csv").read_text()
+
+    def test_race_bound_only_where_a_race_is_simulated(self):
+        ExperimentConfig(scenario="dct-demo", peloton=PelotonParams(duration=1e12)).validate()
+        ExperimentConfig(scenario="routing", peloton=PelotonParams(duration=1e12), trace_path="t.csv").validate()
+
+    def test_unusable_out_exits_2_before_any_step(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a step ran before out was created")
+
+        monkeypatch.setattr(experiments, "collect_timestep", never)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["routing", "--out", str(out), "--set", "steps=2"]) == 2
+        assert f"config error: out={out} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["simulate", "dct-demo"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, scenario):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main([scenario, "--out", str(out)]) == 2
+        assert f"config error: out={out} " in capsys.readouterr().err
+
+    def test_dct_demo_non_optimal_lp_exits_3(self, tmp_path, capsys, monkeypatch):
+        infeasible = LpSolution(LpStatus.INFEASIBLE, None, float("nan"))
+        monkeypatch.setattr(experiments, "solve_lp", lambda problem: infeasible)
+        assert main(["dct-demo", "--out", str(tmp_path)]) == 3
+        assert "runtime error: L1 recovery LP came back infeasible" in capsys.readouterr().err
 
     def test_largest_cap_m_runs(self, tmp_path):
         assert main(["routing", "--out", str(tmp_path), "--set", "cap_m=2147483648"] + FAST) == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from csagg import protocol
 from csagg.errors import ConfigError, DimensionError, NumericalError
 from csagg.graph import NeighborGraph, RiderPositions, knn_graph
-from csagg.linalg import rank
+from csagg.linalg import LpSolution, LpStatus, rank
 from csagg.metrics import stress
 from csagg.protocol import (
     DEFAULT_CAP,
@@ -600,6 +600,14 @@ class TestReconstruct:
         estimate, tag = reconstruct(system, graph)
         assert tag == "cs-lp"
         assert estimate == pytest.approx([2.0, 2.0, 2.0, 2.0], abs=1e-8)
+
+    def test_non_optimal_lp_is_numerical_error(self, monkeypatch):
+        infeasible = LpSolution(LpStatus.INFEASIBLE, None, float("nan"))
+        monkeypatch.setattr(protocol, "solve_lp", lambda problem: infeasible)
+        system = Measurement(np.ones((1, 4), dtype=np.int64), [8.0])
+        graph = NeighborGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+        with pytest.raises(NumericalError, match="infeasible"):
+            reconstruct(system, graph)
 
     def test_empty_system_rejected(self):
         empty = Measurement(np.zeros((0, 3)), np.zeros(0))

@@ -201,6 +201,14 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_solution(LpSolution(LpStatus.INFEASIBLE, None, float("nan")), 2)
 
+    # decode_consistent is the one judge of an LP outcome: a solver that
+    # gives up is a numerical failure (exit 3), not a bad config
+    @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])
+    def test_consistent_decode_names_non_optimal_status(self, status):
+        meas = Measurement(np.ones((1, 2)), np.array([1.0]))
+        with pytest.raises(NumericalError, match=status.value):
+            decode_consistent(LpSolution(status, None, float("nan")), meas)
+
 
 class TestFormulationEquivalence:
     def test_basis_form_equals_coefficient_form(self):
