@@ -15,7 +15,6 @@ from .metrics import StepReport, stress, summarize
 from .mobility import (
     PelotonParams,
     RaceTrace,
-    VelocityFrame,
     ingest_trace,
     simulate_race,
     velocities,
@@ -52,7 +51,6 @@ __all__ = [
     "RiderPositions",
     "SensorState",
     "StepReport",
-    "VelocityFrame",
     "build_basis_l1",
     "build_pairwise_l1",
     "collect_timestep",

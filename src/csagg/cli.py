@@ -87,7 +87,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = simulate_race(cfg.race())
     with open(path, "w", encoding="utf-8") as out:
         write_trace_csv(trace, out)
-    print(f"wrote {path} ({trace.n} riders, {len(trace.frames)} frames)")
+    print(f"wrote {path} ({trace.n} riders, {len(trace.times)} frames)")
     return 0
 
 

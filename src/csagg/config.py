@@ -62,12 +62,22 @@ class ExperimentConfig:
         return peloton
 
     def output(self, name: str) -> str:
-        """`<out>/<name>`, making out a directory or raising ConfigError naming it."""
+        """`<out>/<name>`, making out a directory. Raises ConfigError naming out
+        when it cannot be one, and naming `<out>/<name>` when that exists and
+        is not a regular file or cannot be written, so the run stops before
+        its first step."""
         try:
             os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"out={self.out_dir} cannot be made a directory: {exc.strerror}") from exc
-        return os.path.join(self.out_dir, name)
+        path = os.path.join(self.out_dir, name)
+        exists = os.path.exists(path)
+        if exists and not os.path.isfile(path):
+            raise ConfigError(f"{path} exists and is not a regular file")
+        # an existing file is rewritten; a new one is made in out
+        if not (os.access(path, os.W_OK) if exists else os.access(self.out_dir, os.W_OK | os.X_OK)):
+            raise ConfigError(f"{path} cannot be written")
+        return path
 
     def validate(self) -> None:
         for key, (owner, field, kind) in KEYS.items():

@@ -3,14 +3,14 @@ routing, and the lost-data DCT demonstration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .config import ExperimentConfig, config_lines
 from .errors import ConfigError
-from .graph import RiderPositions, knn_graph
+from .graph import knn_graph
 from .linalg import dct_matrix, rank, solve_lp
 from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
@@ -60,7 +60,7 @@ def _collect_matrix(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarr
 
 def _collect_routing(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarray) -> CollectionResult:
     """Multi-round broadcast/aggregate collection at the frame that ends step i."""
-    positions = trace.frames[i + 1]
+    positions = trace.frame(i + 1)
     return collect_timestep(
         readings=x,
         positions=positions,
@@ -88,24 +88,24 @@ def _run(
     along-road positions (lateral treated as 0), so after warm-up the graph
     reflects what the sink actually knows."""
     trace, path = _start(cfg, scenario, load_race)
-    vels = velocities(trace)
-    s_hat = trace.frames[0].pos[:, 0]
+    times, vels = velocities(trace)
+    s_hat = trace.pos[0, :, 0]
     reports = []
     estimate = np.zeros(trace.n)
     for i in range(min(cfg.steps or len(vels), len(vels))):  # steps=0: every frame
-        x = vels[i].x
+        x = vels[i]
         result = collect(cfg, trace, i, x)
         if result.system.k:
-            prev = trace.frames[i]
+            prev = trace.frame(i)
             if cfg.graph_mode != "truth" and i > 0:
-                prev = RiderPositions(time=prev.time, pos=np.column_stack([s_hat, np.zeros_like(s_hat)]))
+                prev = replace(prev, pos=np.column_stack([s_hat, np.zeros_like(s_hat)]))
             estimate, tag = reconstruct(result.system, knn_graph(prev, cfg.k_neighbors))
         else:
             tag = "no-data"
         s_hat = s_hat + trace.dt * estimate
         reports.append(
             StepReport(
-                time=vels[i].time,
+                time=times[i],
                 stress=stress(x, estimate),
                 method=tag,
                 rows=result.system.k,

@@ -39,35 +39,36 @@ LATERAL_HALFWIDTH_M = 5.0
 SpeedProfile = tuple[tuple[float, float], ...]  # (start_time_s, speed_mps) pairs
 
 
-@dataclass(frozen=True)
-class VelocityFrame:
-    """Along-road velocity of every rider at one instant."""
-
-    time: float
-    x: np.ndarray  # (n,) m/s
-
-    def __post_init__(self):
-        v = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise DimensionError("velocities must be finite")
-        object.__setattr__(self, "x", v)
-
-
-@dataclass(frozen=True)
+# an array field does not compare by value, so traces compare by identity
+@dataclass(frozen=True, eq=False)
 class RaceTrace:
+    """A race as two arrays: frame k is at times[k], with rider positions
+    pos[k] (n, 2), pos[k, :, 0] along-road s and pos[k, :, 1] lateral d (m)."""
+
     dt: float
-    frames: tuple[RiderPositions, ...]
+    times: np.ndarray  # (frames,) s
+    pos: np.ndarray  # (frames, n, 2) m
 
     def __post_init__(self):
-        if not self.frames:
-            raise DimensionError("trace has no frames")
-        n = self.frames[0].n
-        if any(f.n != n for f in self.frames):
-            raise DimensionError("all frames must have the same rider count")
+        times = np.asarray(self.times, dtype=float)
+        pos = np.asarray(self.pos, dtype=float)
+        if pos.ndim != 3 or pos.shape[2] != 2 or times.shape != pos.shape[:1] or not times.size:
+            raise DimensionError(
+                f"a trace is times (frames,) and pos (frames, n, 2) with frames >= 1, "
+                f"got {times.shape} and {pos.shape}"
+            )
+        if not (np.isfinite(times).all() and np.isfinite(pos).all()):
+            raise DimensionError("trace times and positions must be finite")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "pos", pos)
 
     @property
     def n(self) -> int:
-        return self.frames[0].n
+        return self.pos.shape[1]
+
+    def frame(self, k: int) -> RiderPositions:
+        """The rider positions of frame k, as graph and radio calls take them."""
+        return RiderPositions(time=float(self.times[k]), pos=self.pos[k])
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,14 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
     if steps < 2:
         raise ConfigError("duration must cover at least 2 timesteps")
 
-    pos = np.empty((n, 2))
-    pos[:, 0] = rng.uniform(0.0, params.init_length, size=n)
-    pos[:, 1] = rng.uniform(-4.0, 4.0, size=n)
+    # one buffer for the whole race; frame step + 1 is written in place
+    pos = np.empty((steps, n, 2))
+    pos[0, :, 0] = rng.uniform(0.0, params.init_length, size=n)
+    pos[0, :, 1] = rng.uniform(-4.0, 4.0, size=n)
     vel = np.zeros((n, 2))
     vel[:, 0] = params.speed_at(0.0) + params.speed_jitter * rng.standard_normal(n)
     boost_until = np.full(n, -1.0)
 
-    frames = [RiderPositions(time=0.0, pos=pos.copy())]
     for step in range(steps - 1):
         t = step * dt
         target = np.full(n, params.speed_at(t))
@@ -189,31 +190,33 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
         boost_until[starting] = t + params.breakaway_duration
         target[boost_until > t] += params.breakaway_boost
 
-        acc = flocking_acceleration(pos, vel, params)
+        acc = flocking_acceleration(pos[step], vel, params)
         acc[:, 0] += SPEED_RELAX_PER_S * (target - vel[:, 0])
 
         vel = vel + dt * acc
-        pos = pos + dt * vel
+        nxt = np.add(pos[step], dt * vel, out=pos[step + 1])
         # keep riders inside the lateral corridor
-        low = pos[:, 1] < -LATERAL_HALFWIDTH_M
-        high = pos[:, 1] > LATERAL_HALFWIDTH_M
-        pos[low, 1] = -LATERAL_HALFWIDTH_M
-        pos[high, 1] = LATERAL_HALFWIDTH_M
+        low = nxt[:, 1] < -LATERAL_HALFWIDTH_M
+        high = nxt[:, 1] > LATERAL_HALFWIDTH_M
+        nxt[low, 1] = -LATERAL_HALFWIDTH_M
+        nxt[high, 1] = LATERAL_HALFWIDTH_M
         vel[low | high, 1] = 0.0
+        # the next step's k-d tree cannot take an overflowed frame
+        if not np.isfinite(nxt).all():
+            raise DimensionError("positions must be finite")
+    return RaceTrace(dt=dt, times=np.arange(steps) * dt, pos=pos)
 
-        frames.append(RiderPositions(time=(step + 1) * dt, pos=pos.copy()))
-    return RaceTrace(dt=dt, frames=tuple(frames))
 
-
-def velocities(trace: RaceTrace) -> list[VelocityFrame]:
-    """Along-road velocity frames: x_i(t) = (s_i(t) - s_i(t - dt)) / dt."""
-    if len(trace.frames) < 2:
+def velocities(trace: RaceTrace) -> tuple[np.ndarray, np.ndarray]:
+    """(times[1:], x): x[k] is every rider's along-road velocity at frame
+    k + 1, x_i(t) = (s_i(t) - s_i(t - dt)) / dt, one (frames - 1, n) array."""
+    if len(trace.times) < 2:
         raise DimensionError("need at least 2 frames to compute velocities")
-    out = []
-    for prev, cur in zip(trace.frames, trace.frames[1:]):
-        x = (cur.pos[:, 0] - prev.pos[:, 0]) / trace.dt
-        out.append(VelocityFrame(time=cur.time, x=x))
-    return out
+    s = trace.pos[:, :, 0]
+    x = (s[1:] - s[:-1]) / trace.dt
+    if not np.isfinite(x).all():
+        raise DimensionError("velocities must be finite")
+    return trace.times[1:], x
 
 
 def read_utf8(path: str, error: type[CsaggError]) -> str:
@@ -291,25 +294,21 @@ def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
             raise TraceFormatError(
                 f"timestamps {a} and {b} are not spaced by dt={dt}: grid gap or wrong dt"
             )
-    n = len(rider_order)
-    frames = []
-    for t in times:
-        pos = np.empty((n, 2))
+    pos = np.empty((len(times), len(rider_order), 2))
+    for k, t in enumerate(times):
         for rider, idx in rider_order.items():
             if (t, rider) not in cells:
                 raise TraceFormatError(f"missing cell for rider {rider} at t={t}")
-            pos[idx] = cells[(t, rider)]
-        frames.append(RiderPositions(time=t, pos=pos))
-    return RaceTrace(dt=dt, frames=tuple(frames))
+            pos[k, idx] = cells[(t, rider)]
+    return RaceTrace(dt=dt, times=times, pos=pos)
 
 
 def write_trace_csv(trace: RaceTrace, out: IO[str]) -> None:
     """Emit the position CSV schema consumed by ingest_trace."""
     out.write("time_s,rider_id,s_m,d_m\n")
-    for frame in trace.frames:
-        for rider in range(trace.n):
-            s, d = frame.pos[rider]
-            out.write(f"{float(frame.time)!r},{rider},{float(s)!r},{float(d)!r}\n")
+    for t, frame in zip(trace.times.tolist(), trace.pos.tolist()):
+        for rider, (s, d) in enumerate(frame):
+            out.write(f"{t!r},{rider},{s!r},{d!r}\n")
 
 
 def read_velocity_csv(source: str | IO[str]) -> dict[float, dict[int, float]]:

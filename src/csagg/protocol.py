@@ -326,36 +326,15 @@ class CollectionResult:
     mean_payload_bits: float
 
 
-def _equation_hashes(key: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of the int64 table: the row's entries
-    weighted by one splitmix64 constant per column, summed modulo 2**64."""
-    return key.view(np.uint64) @ _splitmix64(np.arange(key.shape[1], dtype=np.uint64))
-
-
 def _first_equations(rows: np.ndarray, values: np.ndarray) -> Measurement:
     """The equations in order, each exact (row, value) duplicate dropped after
     its first occurrence. Adding 0.0 turns -0.0 into 0.0, so values compare
-    as with ==; two equations are equal when all their bytes are.
-
-    A stable sort by hash puts each equation after every earlier one with
-    the same hash. Each run of equal hashes keeps its first equation and
-    compares the others with it entry by entry: an equal one is a duplicate,
-    and an unequal one, a hash collision, goes to the next pass with the
-    other unequal ones.
-    """
+    as with ==; two equations are equal when all their bytes are, so each is
+    one opaque record for np.unique."""
     key = np.column_stack([rows, (values + 0.0).view(np.int64)])
-    hashes = _equation_hashes(key)
-    keep = np.ones(len(key), dtype=bool)
-    pending = np.argsort(hashes, kind="stable")
-    while pending.size:
-        sorted_hashes = hashes[pending]
-        later = np.r_[False, sorted_hashes[1:] == sorted_hashes[:-1]]
-        first = pending[~later][np.cumsum(~later) - 1]
-        pending, first = pending[later], first[later]
-        same = (key[pending] == key[first]).all(axis=1)
-        keep[pending[same]] = False
-        pending = pending[~same]
-    return Measurement(rows[keep], values[keep])
+    records = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
+    first = np.sort(np.unique(records, return_index=True)[1])
+    return Measurement(rows[first], values[first])
 
 
 def receptions(delivered: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -261,10 +261,15 @@ def unit_round_terms_reference(
 
 def first_equations_reference(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, values) without exact duplicates, first occurrences in order:
-    np.unique over each (row, value + 0.0) as one opaque record of its bytes."""
-    key = np.column_stack([rows, (values + 0.0).view(np.int64)])
-    records = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
-    first = np.sort(np.unique(records, return_index=True)[1])
+    one Python loop that keeps an equation unless the bytes of its row and of
+    its value + 0.0 were seen before."""
+    seen, first = set(), []
+    for i, (row, value) in enumerate(zip(rows, values)):
+        key = (row.tobytes(), np.float64(value + 0.0).tobytes())
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    first = np.array(first, dtype=np.int64)
     return rows[first], values[first]
 
 
@@ -460,7 +465,7 @@ def simulate_race_reference(params: PelotonParams) -> RaceTrace:
     vel[:, 0] = params.speed_at(0.0) + params.speed_jitter * rng.standard_normal(n)
     boost_until = np.full(n, -1.0)
 
-    frames = [RiderPositions(time=0.0, pos=pos.copy())]
+    frames = [pos.copy()]
     for step in range(steps - 1):
         t = step * dt
         target = np.full(n, params.speed_at(t))
@@ -478,8 +483,8 @@ def simulate_race_reference(params: PelotonParams) -> RaceTrace:
         pos[low, 1] = -LATERAL_HALFWIDTH_M
         pos[high, 1] = LATERAL_HALFWIDTH_M
         vel[low | high, 1] = 0.0
-        frames.append(RiderPositions(time=(step + 1) * dt, pos=pos.copy()))
-    return RaceTrace(dt=dt, frames=tuple(frames))
+        frames.append(pos.copy())
+    return RaceTrace(dt=dt, times=[k * dt for k in range(steps)], pos=frames)
 
 
 def knn_reference(positions: RiderPositions, k_neighbors: int) -> NeighborGraph:

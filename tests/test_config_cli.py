@@ -381,6 +381,45 @@ class TestCli:
         assert main([scenario, "--out", str(out)]) == 2
         assert f"config error: out={out} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [("routing", "report_routing.csv"), ("dct-demo", "report_dct_demo.csv"), ("simulate", "trace.csv")],
+    )
+    def test_output_path_not_a_file_exits_2_before_any_step(self, tmp_path, capsys, monkeypatch, scenario, name):
+        def never(*args, **kwargs):
+            raise AssertionError("a step ran before the output path was checked")
+
+        monkeypatch.setattr(experiments, "collect_timestep", never)
+        monkeypatch.setattr(experiments, "solve_lp", never)
+        path = tmp_path / name
+        path.mkdir()
+        assert main([scenario, "--out", str(tmp_path), "--set", "steps=2"]) == 2
+        assert f"config error: {path} exists and is not a regular file" in capsys.readouterr().err
+        assert path.is_dir() and not list(path.iterdir())
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new-report", "existing-report"])
+    def test_unwritable_output_exits_2_before_any_step(self, tmp_path, capsys, monkeypatch, exists):
+        # the tests may run as root, for whom a mode bit denies nothing, so
+        # the access check itself is what is made to refuse
+        def never(*args, **kwargs):
+            raise AssertionError("a step ran before the output path was checked")
+
+        path = tmp_path / "report_routing.csv"
+        if exists:
+            path.write_text("old\n")
+        asked = []
+        monkeypatch.setattr(os, "access", lambda p, mode: asked.append(str(p)) and False)
+        monkeypatch.setattr(experiments, "collect_timestep", never)
+        assert main(["routing", "--out", str(tmp_path), "--set", "steps=2"]) == 2
+        assert f"config error: {path} cannot be written" in capsys.readouterr().err
+        assert asked == [str(path) if exists else str(tmp_path)]
+
+    def test_overflowing_race_exits_3(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--out", str(tmp_path), "--set", "base_speed_profile=0:1e308"])
+        assert code == 3
+        assert "runtime error: positions must be finite" in capsys.readouterr().err
+
     def test_dct_demo_non_optimal_lp_exits_3(self, tmp_path, capsys, monkeypatch):
         infeasible = LpSolution(LpStatus.INFEASIBLE, None, float("nan"))
         monkeypatch.setattr(experiments, "solve_lp", lambda problem: infeasible)
@@ -593,11 +632,11 @@ class TestCli:
         monkeypatch.setattr(experiments, "_collect_matrix", starved)
         monkeypatch.setattr(experiments, "reconstruct", recording)
         reports = experiments.run_matrix(cfg).reports
-        vels = velocities(simulate_race(cfg.peloton))
+        _, vels = velocities(simulate_race(cfg.peloton))
         assert [r.method for r in reports] == ["no-data", "cs-lp", "no-data", "cs-lp"]
         assert [r.rows for r in reports] == [0, 6, 0, 6]
         assert reports[0].stress == 1.0  # zeros before the first estimate
-        assert reports[2].stress == stress(vels[2].x, estimates[0][0])
+        assert reports[2].stress == stress(vels[2], estimates[0][0])
 
     @pytest.mark.parametrize("mode", GRAPH_MODES)
     def test_graph_positions_per_mode(self, tmp_path, monkeypatch, mode):
@@ -622,13 +661,13 @@ class TestCli:
         monkeypatch.setattr(experiments, "knn_graph", recording_knn)
         monkeypatch.setattr(experiments, "reconstruct", recording)
         experiments.run_matrix(cfg)
-        frames = simulate_race(cfg.peloton).frames
+        trace = simulate_race(cfg.peloton)
         assert len(seen) == len(estimates) == 4
-        s_hat = frames[0].pos[:, 0]
+        s_hat = trace.pos[0, :, 0]
         for i, positions in enumerate(seen):
-            assert positions.time == frames[i].time
+            assert positions.time == trace.times[i]
             if mode == "truth" or i == 0:
-                want = frames[i].pos
+                want = trace.pos[i]
             else:
                 s_hat = s_hat + cfg.peloton.dt * estimates[i - 1]
                 want = np.column_stack([s_hat, np.zeros(cfg.peloton.n)])
@@ -644,7 +683,7 @@ class TestCli:
 
         def recording(params):
             trace = simulate_race(params)
-            frames.append(len(trace.frames))
+            frames.append(len(trace.times))
             return trace
 
         monkeypatch.setattr(experiments, "simulate_race", recording)

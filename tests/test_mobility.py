@@ -39,46 +39,44 @@ def quiet_params(**kw):
 
 class TestSimulateRace:
     def test_trivial_dynamics_reduce_to_profile(self):
-        trace = simulate_race(quiet_params())
-        for frame in velocities(trace):
-            assert np.abs(frame.x - 10.0).max() <= 1e-9
+        _, x = velocities(simulate_race(quiet_params()))
+        assert np.abs(x - 10.0).max() <= 1e-9
 
     def test_velocity_spread_contracts(self):
         # alignment/cohesion contract: initial speed spread does not grow
         params = PelotonParams(breakaway_rate=0.0, speed_jitter=1.0, duration=400.0)
-        vels = velocities(simulate_race(params))
-        assert vels[299].x.std() <= vels[0].x.std()
+        _, x = velocities(simulate_race(params))
+        assert x[299].std() <= x[0].std()
 
     def test_race_scale_run(self):
         params = PelotonParams(breakaway_rate=0.0)  # n=130, 780 s, dt=1 s
         trace = simulate_race(params)
-        assert len(trace.frames) == 780
+        assert trace.pos.shape == (780, 130, 2)
         assert trace.n == 130
-        vels = velocities(trace)
+        _, x = velocities(trace)
         idx = 400
-        graph = knn_graph(trace.frames[idx], 10)
-        diffs = [abs(vels[idx].x[i] - vels[idx].x[j]) for i, j in graph.edges]
+        graph = knn_graph(trace.frame(idx), 10)
+        diffs = [abs(x[idx][i] - x[idx][j]) for i, j in graph.edges]
         assert np.median(diffs) < 0.5
 
     def test_deterministic_bit_identical(self):
         params = PelotonParams(n=20, duration=40.0, seed=99)
         a = simulate_race(params)
         b = simulate_race(params)
-        for fa, fb in zip(a.frames, b.frames):
-            assert np.array_equal(fa.pos, fb.pos)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.pos, b.pos)
 
     def test_lateral_corridor(self):
         trace = simulate_race(PelotonParams(n=40, duration=200.0, separation_gain=5.0))
-        for frame in trace.frames:
-            assert np.abs(frame.pos[:, 1]).max() <= 5.0
+        assert np.abs(trace.pos[:, :, 1]).max() <= 5.0
 
     def test_euler_round_trip(self):
         trace = simulate_race(PelotonParams(n=30, duration=300.0))
-        vels = velocities(trace)
-        s = trace.frames[0].pos[:, 0].copy()
-        for i, frame in enumerate(trace.frames[1:]):
-            s = s + trace.dt * vels[i].x
-            assert np.abs(s - frame.pos[:, 0]).max() <= 1e-9
+        _, x = velocities(trace)
+        s = trace.pos[0, :, 0].copy()
+        for i, frame in enumerate(trace.pos[1:]):
+            s = s + trace.dt * x[i]
+            assert np.abs(s - frame[:, 0]).max() <= 1e-9
 
     def test_cohesion_knob_shrinks_peloton(self):
         def mean_length(gain, seed):
@@ -86,8 +84,8 @@ class TestSimulateRace:
                 PelotonParams(duration=200.0, cohesion_gain=gain, seed=seed)
             )
             spans = [
-                np.percentile(f.pos[:, 0], 95) - np.percentile(f.pos[:, 0], 5)
-                for f in trace.frames
+                np.percentile(f[:, 0], 95) - np.percentile(f[:, 0], 5)
+                for f in trace.pos
             ]
             return np.mean(spans)
 
@@ -97,8 +95,7 @@ class TestSimulateRace:
 
     def test_breakaways_fire(self):
         params = PelotonParams(n=30, duration=200.0, breakaway_rate=0.01, breakaway_boost=4.0)
-        vels = velocities(simulate_race(params))
-        peak = max(frame.x.max() for frame in vels)
+        peak = velocities(simulate_race(params))[1].max()
         assert peak > 11.0
 
     def test_invalid_params(self):
@@ -199,34 +196,91 @@ class TestSimulateMatchesReference:
     @staticmethod
     def _assert_frames_match(params):
         got, ref = simulate_race(params), simulate_race_reference(params)
-        assert len(got.frames) == len(ref.frames)
-        for a, b in zip(got.frames, ref.frames):
-            assert np.abs(a.pos - b.pos).max() <= 1e-9
+        assert np.array_equal(got.times, ref.times)
+        assert got.pos.shape == ref.pos.shape
+        assert np.abs(got.pos - ref.pos).max() <= 1e-9
 
 
 class TestVelocities:
     def _trace(self, dt, *s_frames):
-        frames = tuple(
-            RiderPositions(time=i * dt, pos=[[s, 0.0] for s in frame])
-            for i, frame in enumerate(s_frames)
-        )
-        return RaceTrace(dt=dt, frames=frames)
+        times = [i * dt for i in range(len(s_frames))]
+        return RaceTrace(dt=dt, times=times, pos=[[[s, 0.0] for s in frame] for frame in s_frames])
 
     def test_simple_displacement(self):
-        vels = velocities(self._trace(1.0, [0.0], [10.0]))
-        assert vels[0].x == pytest.approx([10.0])
+        times, x = velocities(self._trace(1.0, [0.0], [10.0]))
+        assert times.tolist() == [1.0]
+        assert x.tolist() == [[10.0]]
 
     def test_stationary(self):
-        vels = velocities(self._trace(1.0, [5.0], [5.0]))
-        assert vels[0].x == pytest.approx([0.0])
+        _, x = velocities(self._trace(1.0, [5.0], [5.0]))
+        assert x.tolist() == [[0.0]]
 
     def test_dt_two(self):
-        vels = velocities(self._trace(2.0, [100.0], [130.0]))
-        assert vels[0].x == pytest.approx([15.0])
+        times, x = velocities(self._trace(2.0, [100.0], [130.0], [100.0]))
+        assert times.tolist() == [2.0, 4.0]
+        assert x.tolist() == [[15.0], [-15.0]]
 
     def test_single_frame_rejected(self):
         with pytest.raises(DimensionError):
             velocities(self._trace(1.0, [0.0]))
+
+    def test_overflowing_velocity_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(DimensionError, match="velocities must be finite"):
+            velocities(self._trace(1.0, [-1e308], [1e308]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        frames=st.integers(min_value=2, max_value=20),
+        alignment_gain=st.floats(min_value=0.0, max_value=1.0),
+        cohesion_gain=st.floats(min_value=0.0, max_value=0.1),
+        breakaway_rate=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_frame_differences_of_the_reference_race(self, frames, **kw):
+        # the (frames - 1, n) array against one difference per frame pair
+        # of the oracle race, whose frames match within 1e-9
+        params = PelotonParams(duration=float(frames), separation_gain=0.0, **kw)
+        times, x = velocities(simulate_race(params))
+        ref = simulate_race_reference(params)
+        assert x.shape == (frames - 1, params.n)
+        for k in range(frames - 1):
+            assert times[k] == ref.times[k + 1]
+            want = (ref.pos[k + 1, :, 0] - ref.pos[k, :, 0]) / params.dt
+            assert np.abs(x[k] - want).max() <= 2e-9
+
+
+class TestRaceTrace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["pos", "times"])
+    def test_non_finite_rejected(self, bad, where):
+        arrays = {"times": np.arange(3.0), "pos": np.zeros((3, 2, 2))}
+        arrays[where].flat[-1] = bad
+        with pytest.raises(DimensionError, match="must be finite"):
+            RaceTrace(dt=1.0, **arrays)
+
+    @pytest.mark.parametrize(
+        "times, pos",
+        [((3,), (2, 4, 2)), ((2,), (2, 4, 3)), ((2,), (4, 2)), ((2, 1), (2, 4, 2)), ((0,), (0, 4, 2))],
+    )
+    def test_shapes_that_disagree_rejected(self, times, pos):
+        with pytest.raises(DimensionError, match=r"times \(frames,\) and pos \(frames, n, 2\)"):
+            RaceTrace(dt=1.0, times=np.zeros(times), pos=np.zeros(pos))
+
+    @pytest.mark.parametrize("duration", [3.0, 4.0, 50.0])
+    def test_simulator_rejects_a_race_that_overflows(self, duration):
+        # at 1e308 m/s the second step leaves the float range; a race that
+        # goes on past that step must stop there, before a k-d tree sees it
+        params = quiet_params(n=3, duration=duration, base_speed_profile=((0.0, 1e308),))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DimensionError, match="must be finite"):
+            simulate_race(params)
+
+    def test_frame_is_one_rider_positions(self):
+        trace = simulate_race(quiet_params(n=4, duration=5.0, dt=0.5))
+        frame = trace.frame(3)
+        assert isinstance(frame, RiderPositions)
+        assert frame.time == 1.5
+        assert np.array_equal(frame.pos, trace.pos[3])
 
 
 GOOD_CSV = """time_s,rider_id,s_m,d_m
@@ -243,8 +297,8 @@ class TestIngestTrace:
     def test_well_formed(self):
         trace = ingest_trace(io.StringIO(GOOD_CSV), dt=1.0)
         assert trace.n == 2
-        assert len(trace.frames) == 3
-        assert trace.frames[1].pos[1] == pytest.approx([15.0, 1.0])
+        assert trace.times.tolist() == [0.0, 1.0, 2.0]
+        assert trace.pos[1, 1].tolist() == [15.0, 1.0]
 
     def test_duplicate_cell(self):
         bad = GOOD_CSV + "0.0,1,9.0,9.0\n"
@@ -278,10 +332,8 @@ class TestIngestTrace:
         buf.seek(0)
         back = ingest_trace(buf, dt=dt)
         assert back.n == trace.n
-        assert len(back.frames) == len(trace.frames)
-        for fa, fb in zip(trace.frames, back.frames):
-            assert fa.time == fb.time
-            assert np.array_equal(fa.pos, fb.pos)  # repr round-trips exactly
+        assert np.array_equal(back.times, trace.times)
+        assert np.array_equal(back.pos, trace.pos)  # repr round-trips exactly
 
     def test_round_trip_through_writer(self):
         self._assert_round_trip(1.0)
@@ -334,12 +386,10 @@ class TestRacePrefix:
             seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
         )
         full = simulate_race(params)
-        k = data.draw(st.integers(2, len(full.frames)), label="k")
+        k = data.draw(st.integers(2, len(full.times)), label="k")
         short = simulate_race(replace(params, duration=k * dt))
-        assert len(short.frames) == k
-        for cut, whole in zip(short.frames, full.frames):
-            assert cut.time == whole.time
-            assert np.array_equal(cut.pos, whole.pos)
+        assert np.array_equal(short.times, full.times[:k])
+        assert np.array_equal(short.pos, full.pos[:k])
 
 
 class TestVelocityCsv:
