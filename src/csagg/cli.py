@@ -147,11 +147,9 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         frames.append((t, [a[r] for r in riders], [b[r] for r in riders]))
     if not frames:
         raise TraceFormatError("the two velocity CSVs hold no rows")
+    values = [stress(x, x_hat) for _, x, x_hat in frames]
     print("time_s,stress")
-    values = []
-    for t, x, x_hat in frames:
-        s = stress(x, x_hat)
-        values.append(s)
+    for (t, _, _), s in zip(frames, values):
         print(f"{t:.3f},{s:.12g}")
     print(f"# mean_stress={np.mean(values):.12g}")
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,25 @@ class RiderPositions:
         p = np.atleast_2d(np.asarray(self.pos, dtype=float))
         if p.ndim != 2 or p.shape[1] != 2:
             raise DimensionError(f"positions must be (n, 2), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise DimensionError("positions must be finite")
+        check_positions(p)
         object.__setattr__(self, "pos", p)
 
     @property
     def n(self) -> int:
         return self.pos.shape[0]
+
+
+def check_positions(pos: np.ndarray) -> None:
+    """Raise DimensionError unless the (n, 2) positions are finite and so is the square of their
+    spread, the largest squared distance between two riders: they span below about 1.3e154 m."""
+    # no squared distance exceeds 2 w^2; each test is false for a nan or infinite spread
+    w = float(pos.max()) - float(pos.min())
+    if not 2 * w * w < math.inf:
+        ds, dd = (pos.max(axis=0) - pos.min(axis=0)).tolist()
+        if not ds * ds + dd * dd < math.inf:
+            if not np.isfinite(pos).all():
+                raise DimensionError("positions must be finite")
+            raise DimensionError(f"positions span {ds:.3g} x {dd:.3g} m: the squared distance overflows float64")
 
 
 # an array field does not compare by value, so graphs compare by identity

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,8 @@ class Summary:
 
 
 def stress(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Normalized squared error: sum((x - xhat)^2) / sum(x^2), 0 when both are 0. Smaller is better."""
+    """Normalized squared error: sum((x - xhat)^2) / sum(x^2), 0 when both are 0. Smaller is better.
+    A value that is not finite, because a sum of squares overflows, raises NumericalError."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape:
@@ -43,7 +45,10 @@ def stress(truth: np.ndarray, estimate: np.ndarray) -> float:
         if np.array_equal(truth, estimate):
             return 0.0
         raise DimensionError("stress undefined for a zero-norm truth vector and a nonzero estimate")
-    return float(np.sum((truth - estimate) ** 2)) / denom
+    value = float(np.sum((truth - estimate) ** 2)) / denom
+    if not math.isfinite(value):
+        raise NumericalError(f"stress={value}: the squared velocities or errors overflow float64")
+    return value
 
 
 def summarize(reports: Sequence[StepReport]) -> Summary:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, CsaggError, DimensionError, TraceFormatError
-from .graph import RiderPositions
+from .graph import RiderPositions, check_positions
 
 SEPARATION_RADIUS_M = 1.5
 FLOCK_ACCEL_CLAMP = 2.0  # m/s^2
@@ -176,6 +176,7 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
     pos = np.empty((steps, n, 2))
     pos[0, :, 0] = rng.uniform(0.0, params.init_length, size=n)
     pos[0, :, 1] = rng.uniform(-4.0, 4.0, size=n)
+    check_positions(pos[0])
     vel = np.zeros((n, 2))
     vel[:, 0] = params.speed_at(0.0) + params.speed_jitter * rng.standard_normal(n)
     boost_until = np.full(n, -1.0)
@@ -202,8 +203,7 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
         nxt[high, 1] = LATERAL_HALFWIDTH_M
         vel[low | high, 1] = 0.0
         # the next step's k-d tree cannot take an overflowed frame
-        if not np.isfinite(nxt).all():
-            raise DimensionError("positions must be finite")
+        check_positions(nxt)
     return RaceTrace(dt=dt, times=np.arange(steps) * dt, pos=pos)
 
 

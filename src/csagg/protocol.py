@@ -415,16 +415,16 @@ def collect_timestep(
                     AggregateMessage(j, rnd - 1, rows[j], values[j], message_bits) for j in range(n)
                 ]
                 inbox = inbox_from.tolist()
-                blocks = np.split(uniforms, np.cumsum(subsample + signs)[:-1])
+                ends = np.cumsum(subsample + signs).tolist()
                 sent = [
                     step_sensor(
                         SensorState(i, rnd - 1, rows[i], values[i]),
                         [messages[j] for j in inbox[start : start + size]],
-                        SensorDraws(block),
+                        SensorDraws(uniforms[lo:hi]),
                         cap_m,
                     )[1]
-                    for i, start, size, block in zip(
-                        senders.tolist(), starts.tolist(), sizes.tolist(), blocks
+                    for i, start, size, lo, hi in zip(
+                        senders.tolist(), starts.tolist(), sizes.tolist(), [0] + ends, ends
                     )
                 ]
                 rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)

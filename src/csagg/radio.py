@@ -39,7 +39,6 @@ class RadioParams:
 
 @dataclass(frozen=True)
 class Reachability:
-    round: int
     delivered: np.ndarray  # (m, 2) (sender, receiver) pairs, lexicographically sorted
 
 
@@ -104,7 +103,7 @@ def compute_reachability(
     if params.loss_p > 0.0:
         u = link_uniforms(params.seed, time, round_index, links[:, 0], links[:, 1])
         links = links[u >= params.loss_p]
-    return Reachability(round=round_index, delivered=links)
+    return Reachability(delivered=links)
 
 
 def hop_distance_to_sinks(links: np.ndarray, n: int) -> np.ndarray:

@@ -286,6 +286,25 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert "usage: csagg" in done.stdout
 
+    def test_each_module_imports_alone(self):
+        # every module imported with no csagg module loaded before it, so
+        # that an import cycle between two modules fails whichever comes first
+        src = Path(csagg.__file__).resolve().parent
+        modules = sorted(p.stem for p in src.glob("*.py") if not p.stem.startswith("__"))
+        assert "protocol" in modules
+        script = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    for key in [k for k in sys.modules if k.partition('.')[0] == 'csagg']:\n"
+            "        del sys.modules[key]\n"
+            "    importlib.import_module('csagg.' + name)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *modules], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_matrix_scenario(self, tmp_path):
         assert main(["matrix", "--out", str(tmp_path)] + FAST) == 0
         text = (tmp_path / "report_matrix.csv").read_text()
@@ -419,6 +438,33 @@ class TestCli:
             code = main(["simulate", "--out", str(tmp_path), "--set", "base_speed_profile=0:1e308"])
         assert code == 3
         assert "runtime error: positions must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ("simulate --set init_length_m=1e155", "positions span 9.94e+154 x "),
+            ("simulate --set speed_jitter_mps=1e200 --set duration_s=5", "positions span 3.26e+200 x "),
+            ("routing --set base_speed_profile=0:1e305 --set graph_mode=truth --set steps=2", "stress=nan"),
+            ("routing --set base_speed_profile=0:1e305 --set steps=2", "stress=nan"),
+            ("stress {d}/huge.csv {d}/zero.csv", "stress=nan"),
+        ],
+    )
+    def test_overflowing_magnitude_exits_3(self, tmp_path, capsys, args, named):
+        # a frame whose squared spread overflows float64 would break the k-d
+        # tree, and velocities whose squares overflow give a nan stress
+        for name, v in [("huge", "1e200"), ("zero", "0")]:
+            (tmp_path / f"{name}.csv").write_text(f"time_s,rider_id,v_mps\n1,0,{v}\n1,1,{v}\n")
+        argv = args.format(d=tmp_path).split()
+        if argv[0] != "stress":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert f"runtime error: {named}" in err
+        assert "nan" not in out
+
+    def test_widest_finite_race_simulates(self, tmp_path):
+        argv = ["simulate", "--out", str(tmp_path), "--set", "init_length_m=1e154", "--set", "duration_s=5"]
+        assert main(argv) == 0
 
     def test_dct_demo_non_optimal_lp_exits_3(self, tmp_path, capsys, monkeypatch):
         infeasible = LpSolution(LpStatus.INFEASIBLE, None, float("nan"))

@@ -83,6 +83,22 @@ class TestKnnGraph:
         assert np.array_equal(knn_graph(pos, 5).edges, knn_graph(pos, 5).edges)
 
 
+class TestRiderPositions:
+    def test_squared_spread_must_be_finite(self):
+        # the square of the spread is the largest squared distance a k-d tree
+        # forms; sqrt(max float64) is about 1.34e154 m
+        RiderPositions(0.0, [[0.0, 0.0], [1.3e154, 5.0]])
+        with pytest.raises(DimensionError, match=r"positions span 1\.4e\+154 x 5 m: "):
+            RiderPositions(0.0, [[0.0, 0.0], [1.4e154, 5.0]])
+        with pytest.raises(DimensionError, match="the squared distance overflows float64"):
+            RiderPositions(0.0, [[0.0, 0.0], [1e154, 1e154]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(DimensionError, match="positions must be finite"):
+            RiderPositions(0.0, [[0.0, 0.0], [bad, 1.0]])
+
+
 class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
