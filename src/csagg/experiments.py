@@ -9,14 +9,14 @@ from typing import Callable
 import numpy as np
 
 from .config import ExperimentConfig, config_lines
-from .errors import ConfigError
+from .errors import ConfigError, TraceFormatError
 from .graph import knn_graph
 from .linalg import dct_matrix, rank, solve_lp
 from .metrics import StepReport, Summary, stress, summarize, write_report_csv
 from .mobility import RaceTrace, ingest_trace, simulate_race, velocities
 from .protocol import CollectionResult, collect_timestep, reconstruct
 from .radio import place_sinks
-from .sparsity import Measurement, build_basis_l1, decode_consistent
+from .sparsity import Measurement, build_l1, decode_consistent
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,15 @@ class RunResult:
 
 def load_race(cfg: ExperimentConfig) -> RaceTrace:
     """The simulated race cfg.race(), or the ingested trace, which must hold
-    more riders than k_neighbors (validate checks a simulated race's n)."""
+    at least 2 frames and more riders than k_neighbors (validate checks a
+    simulated race's n)."""
     if not cfg.trace_path:
         return simulate_race(cfg.race())
     trace = ingest_trace(cfg.trace_path, cfg.peloton.dt)
+    if len(trace.times) < 2:
+        raise TraceFormatError(
+            f"{cfg.trace_path}: one frame, at t={trace.times[0]}: velocities need at least 2 frames"
+        )
     if cfg.k_neighbors >= trace.n:
         raise ConfigError(
             f"k_neighbors={cfg.k_neighbors} must be smaller than the number of riders ({trace.n})"
@@ -68,7 +73,7 @@ def _collect_routing(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndar
         radio=cfg.radio(),
         cap_m=cfg.cap_m,
         step_index=i,
-        check_aggregates=1e-9 if cfg.check_aggregates else None,
+        check_aggregates=cfg.check_aggregates,
     )
 
 
@@ -146,9 +151,9 @@ def dct_demo_signal(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarr
     return phi.T @ coeffs
 
 
-def _basis_recover(a: np.ndarray, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _basis_recover(a: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     meas = Measurement(a, y)
-    return decode_consistent(solve_lp(build_basis_l1(meas, phi)), meas)
+    return decode_consistent(solve_lp(build_l1(meas, t)), meas)
 
 
 def run_dct_demo(cfg: ExperimentConfig) -> DctDemoResult:

@@ -40,12 +40,15 @@ def stress(truth: np.ndarray, estimate: np.ndarray) -> float:
         raise DimensionError(
             f"truth has shape {truth.shape}, estimate {estimate.shape}"
         )
-    denom = float(np.sum(truth**2))
+    # a square that overflows is caught below, as the value it makes
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.sum(truth**2))
+        value = float(np.sum((truth - estimate) ** 2))
     if denom == 0.0:
         if np.array_equal(truth, estimate):
             return 0.0
         raise DimensionError("stress undefined for a zero-norm truth vector and a nonzero estimate")
-    value = float(np.sum((truth - estimate) ** 2)) / denom
+    value /= denom
     if not math.isfinite(value):
         raise NumericalError(f"stress={value}: the squared velocities or errors overflow float64")
     return value

@@ -181,29 +181,31 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
     vel[:, 0] = params.speed_at(0.0) + params.speed_jitter * rng.standard_normal(n)
     boost_until = np.full(n, -1.0)
 
-    for step in range(steps - 1):
-        t = step * dt
-        target = np.full(n, params.speed_at(t))
+    # a frame that overflows is caught by check_positions, as the frame it makes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps - 1):
+            t = step * dt
+            target = np.full(n, params.speed_at(t))
 
-        # breakaway triggers (only for riders not already attacking)
-        draws = rng.random(n)
-        starting = (draws < params.breakaway_rate * dt) & (boost_until <= t)
-        boost_until[starting] = t + params.breakaway_duration
-        target[boost_until > t] += params.breakaway_boost
+            # breakaway triggers (only for riders not already attacking)
+            draws = rng.random(n)
+            starting = (draws < params.breakaway_rate * dt) & (boost_until <= t)
+            boost_until[starting] = t + params.breakaway_duration
+            target[boost_until > t] += params.breakaway_boost
 
-        acc = flocking_acceleration(pos[step], vel, params)
-        acc[:, 0] += SPEED_RELAX_PER_S * (target - vel[:, 0])
+            acc = flocking_acceleration(pos[step], vel, params)
+            acc[:, 0] += SPEED_RELAX_PER_S * (target - vel[:, 0])
 
-        vel = vel + dt * acc
-        nxt = np.add(pos[step], dt * vel, out=pos[step + 1])
-        # keep riders inside the lateral corridor
-        low = nxt[:, 1] < -LATERAL_HALFWIDTH_M
-        high = nxt[:, 1] > LATERAL_HALFWIDTH_M
-        nxt[low, 1] = -LATERAL_HALFWIDTH_M
-        nxt[high, 1] = LATERAL_HALFWIDTH_M
-        vel[low | high, 1] = 0.0
-        # the next step's k-d tree cannot take an overflowed frame
-        check_positions(nxt)
+            vel = vel + dt * acc
+            nxt = np.add(pos[step], dt * vel, out=pos[step + 1])
+            # keep riders inside the lateral corridor
+            low = nxt[:, 1] < -LATERAL_HALFWIDTH_M
+            high = nxt[:, 1] > LATERAL_HALFWIDTH_M
+            nxt[low, 1] = -LATERAL_HALFWIDTH_M
+            nxt[high, 1] = LATERAL_HALFWIDTH_M
+            vel[low | high, 1] = 0.0
+            # the next step's k-d tree cannot take an overflowed frame
+            check_positions(nxt)
     return RaceTrace(dt=dt, times=np.arange(steps) * dt, pos=pos)
 
 
@@ -269,7 +271,9 @@ def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
 
     Riders are indexed by first appearance; timestamps must form a complete
     grid spaced by dt. Malformed rows, non-finite numbers, duplicate cells
-    and grid gaps raise TraceFormatError naming the offending line.
+    and grid gaps raise TraceFormatError naming the offending line, and a
+    frame that graph.check_positions rejects raises it naming the file and
+    the frame's time.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -300,6 +304,11 @@ def ingest_trace(source: str | IO[str], dt: float) -> RaceTrace:
             if (t, rider) not in cells:
                 raise TraceFormatError(f"missing cell for rider {rider} at t={t}")
             pos[k, idx] = cells[(t, rider)]
+        try:
+            check_positions(pos[k])
+        except DimensionError as exc:
+            name = source if isinstance(source, str) else "trace"
+            raise TraceFormatError(f"{name}: frame t={t}: {exc}") from exc
     return RaceTrace(dt=dt, times=times, pos=pos)
 
 

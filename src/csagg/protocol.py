@@ -360,7 +360,7 @@ def collect_timestep(
     radio: RadioParams,
     cap_m: int = DEFAULT_CAP,
     step_index: int = 0,
-    check_aggregates: float | None = None,
+    check_aggregates: bool = False,
 ) -> CollectionResult:
     """Run one timestep's L rounds of broadcast, aggregation and sink collection.
 
@@ -371,10 +371,10 @@ def collect_timestep(
     hears, by round and then by sender, without exact duplicates. A round-L
     message that no sink hears is never read, so the last round steps only
     the heard senders; a sensor's draws are keyed by its id alone, so this
-    changes no equation. check_aggregates,
-    when set, asserts aggregate == coeff_row . readings within that
-    tolerance for every computed message (debug hook); an error names the
-    sensor and round.
+    changes no equation. check_aggregates (debug hook) asserts
+    aggregate == coeff_row . readings for every computed message within
+    max(1e-9, 64 eps s), s the summed magnitude of the terms added into it
+    round by round; an error names the sensor and round.
     """
     readings = np.asarray(readings, dtype=float)
     n = positions.n
@@ -388,6 +388,7 @@ def collect_timestep(
     # round 1 is the identity: each sensor sends its reading with the unit
     # row e_i, so the sinks' round-1 equations are the heard senders' e_i
     rows, aggregates = np.eye(n, dtype=np.int64), readings
+    terms_size = np.abs(readings)  # check_aggregates' s: |M_r| ... |M_2| |X|
     rows_heard, values_heard = [], []
     for rnd in range(1, rounds_total + 1):
         # rows and aggregates hold round rnd - 1's messages, one per sensor,
@@ -416,26 +417,31 @@ def collect_timestep(
                 ]
                 inbox = inbox_from.tolist()
                 ends = np.cumsum(subsample + signs).tolist()
-                sent = [
+                stepped = [
                     step_sensor(
                         SensorState(i, rnd - 1, rows[i], values[i]),
                         [messages[j] for j in inbox[start : start + size]],
                         SensorDraws(uniforms[lo:hi]),
                         cap_m,
-                    )[1]
+                    )
                     for i, start, size, lo, hi in zip(
                         senders.tolist(), starts.tolist(), sizes.tolist(), [0] + ends, ends
                     )
                 ]
-                rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)
-                aggregates = np.array([msg.aggregate for msg in sent], dtype=float)
-            if check_aggregates is not None:
+                rows = np.array([msg.coeff_row for _, msg in stepped], dtype=np.int64).reshape(-1, n)
+                aggregates = np.array([msg.aggregate for _, msg in stepped], dtype=float)
+            if check_aggregates:
+                # an aggregate rounds in proportion to the terms added into
+                # it; round 2's rows are its mixing rows
+                mix = rows if rnd == 2 else [state.mix_rows[-1] for state, _ in stepped]
+                terms_size = np.abs(np.reshape(mix, (-1, n))) @ terms_size
                 err = np.abs(aggregates - rows @ readings)
-                bad = np.flatnonzero(err > check_aggregates)
+                tol = np.maximum(1e-9, 64 * np.finfo(float).eps * terms_size)
+                bad = np.flatnonzero(err > tol)
                 if bad.size:
                     raise NumericalError(
                         f"aggregate drifted from coeff_row . X by {err[bad[0]]:.3e} "
-                        f"(sensor {senders[bad[0]]}, round {rnd})"
+                        f"(tolerance {tol[bad[0]]:.3e}, sensor {senders[bad[0]]}, round {rnd})"
                     )
         rows_heard.append(rows if last else rows[heard])
         values_heard.append(aggregates if last else aggregates[heard])

@@ -1,17 +1,15 @@
-"""Compile L1 recovery formulations into bounded-variable LPs and decode back.
+"""Compile L1 recovery into one bounded-variable LP and decode back.
 
-Two formulations are supported for recovering a length-n signal X from k
-linear measurements Y = A X:
+Every prior is a (p, n) operator T passed to build_l1, the one builder: it
+recovers a length-n signal X from k measurements Y = A X as min ||T X||_1
+s.t. A X = Y (the generalized lasso). The DCT demo passes a transform basis
+as T; build_pairwise_l1 passes pairwise_difference_operator, x_i - x_j over
+each edge of a graph.NeighborGraph, so that neighbours move alike.
 
-  * basis:     minimize ||phi X||_1        (sparsity in a transform basis)
-  * pairwise:  minimize sum_{ij in E} |x_i - x_j|   (neighbors move alike)
-               over the (m, 2) edge array E of a graph.NeighborGraph
-
-Each prior is a (p, n) operator T. Both builders first replace A X = Y by
-its reduced row-echelon form B X = Y' (linalg.row_echelon): one pivoted QR
-of rank r gives r rows [I_r | R11^-1 R12] in pivot order and drops the
-dependent rows. They then compile min ||T X||_1 s.t. B X = Y' into its LP
-dual, one bounded-variable LP over [lambda(r), mu(p)]:
+build_l1 first replaces A X = Y by its reduced row-echelon form B X = Y'
+(linalg.row_echelon): one pivoted QR of rank r gives r rows
+[I_r | R11^-1 R12] in pivot order and drops the dependent rows. It then
+compiles the problem into its LP dual, over [lambda(r), mu(p)]:
 
     maximize Y'.lambda  s.t.  B^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1
 
@@ -64,19 +62,19 @@ class Measurement:
         return self.rows.shape[0]
 
 
-def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
-    """Dual LP of min ||T X||_1 s.t. B X = Y', the row-echelon form of A X = Y,
-    as a minimization:
+def build_l1(meas: Measurement, t) -> LpProblem:
+    """min ||T X||_1 subject to the measurements, for any (p, n) prior
+    operator T with p >= 1: the dual LP above as a minimization,
 
-    min -Y'.lambda  s.t.  B^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1.
+    min -Y'.lambda  s.t.  B^T lambda - T^T mu = 0,  lambda free, -1 <= mu <= 1,
 
-    T is the (p, n) operator whose componentwise absolute value is being
-    minimized. Variables: [lambda(r), mu(p)] for B of rank r; X is minus the
-    equality duals.
-    """
+    over [lambda(r), mu(p)] for B of rank r; X is minus the equality duals."""
+    t = np.asarray(t, dtype=float)
+    n = meas.n
+    if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] != n:
+        raise DimensionError(f"prior operator is {t.shape}, expected (p, {n}) with p >= 1")
     b, b_rhs = row_echelon(meas.rows, meas.values)
-    r, n = b.shape
-    p = t.shape[0]
+    r, p = b.shape[0], t.shape[0]
     return LpProblem(
         objective=np.concatenate([-b_rhs, np.zeros(p)]),
         eq_matrix=np.hstack([b.T, -t.T]),
@@ -84,15 +82,6 @@ def _abs_bound_lp(meas: Measurement, t: np.ndarray) -> LpProblem:
         lower=np.concatenate([np.full(r, -np.inf), np.full(p, -1.0)]),
         upper=np.concatenate([np.full(r, np.inf), np.full(p, 1.0)]),
     )
-
-
-def build_basis_l1(meas: Measurement, basis: np.ndarray) -> LpProblem:
-    """min ||basis @ X||_1 subject to the measurements."""
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    n = meas.n
-    if basis.shape != (n, n):
-        raise DimensionError(f"basis is {basis.shape}, expected ({n}, {n})")
-    return _abs_bound_lp(meas, basis)
 
 
 def pairwise_difference_operator(edges, n: int) -> np.ndarray:
@@ -109,7 +98,7 @@ def pairwise_difference_operator(edges, n: int) -> np.ndarray:
 
 def build_pairwise_l1(meas: Measurement, edges) -> LpProblem:
     """min sum over edges of |x_i - x_j| subject to the measurements."""
-    return _abs_bound_lp(meas, pairwise_difference_operator(edges, meas.n))
+    return build_l1(meas, pairwise_difference_operator(edges, meas.n))
 
 
 def decode_solution(sol: LpSolution, n: int) -> np.ndarray:

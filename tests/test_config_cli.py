@@ -434,9 +434,7 @@ class TestCli:
         assert asked == [str(path) if exists else str(tmp_path)]
 
     def test_overflowing_race_exits_3(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["simulate", "--out", str(tmp_path), "--set", "base_speed_profile=0:1e308"])
-        assert code == 3
+        assert main(["simulate", "--out", str(tmp_path), "--set", "base_speed_profile=0:1e308"]) == 3
         assert "runtime error: positions must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -461,6 +459,42 @@ class TestCli:
         out, err = capsys.readouterr()
         assert f"runtime error: {named}" in err
         assert "nan" not in out
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            ("stress {d}/huge.csv {d}/zero.csv",
+             "runtime error: stress=nan: the squared velocities or errors overflow float64"),
+            ("simulate --set base_speed_profile=0:1e308 --set duration_s=5 --out {d}/out",
+             "runtime error: positions must be finite"),
+        ],
+        ids=["stress", "simulate"],
+    )
+    def test_overflow_error_is_the_only_stderr_line(self, tmp_path, args, line):
+        # numpy prints no overflow warning ahead of the error that names it
+        for name, v in [("huge", "1e200"), ("zero", "0")]:
+            (tmp_path / f"{name}.csv").write_text(f"time_s,rider_id,v_mps\n1,0,{v}\n1,1,{v}\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(csagg.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "csagg", *args.format(d=tmp_path).split()],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 3
+        assert done.stderr == line + "\n"
+
+    def test_aggregate_check_at_high_speed(self, tmp_path):
+        # the hook's tolerance follows the size of each aggregate's terms: at
+        # 1e6 m/s a run checks every message and reports what it would without
+        reports = []
+        for check in ("true", "false"):
+            out = tmp_path / check
+            args = ["routing", "--out", str(out), "--set", f"check_aggregates={check}",
+                    "--set", "base_speed_profile=0:1e6", "--set", "steps=3"]
+            assert main(args) == 0
+            text = (out / "report_routing.csv").read_text()
+            reports.append([line for line in text.splitlines() if not line.startswith("#")])
+        assert len(reports[0]) == 4
+        assert reports[0] == reports[1]
 
     def test_widest_finite_race_simulates(self, tmp_path):
         argv = ["simulate", "--out", str(tmp_path), "--set", "init_length_m=1e154", "--set", "duration_s=5"]
@@ -540,6 +574,24 @@ class TestCli:
                 "--set", "k_neighbors=1"]
         assert main(args) == 2
         assert "line 3: non-finite s_m" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ("0.0,0,0.0,0.0\n0.0,1,1.0,0.0\n", "one frame, at t=0.0: velocities need at least 2 frames"),
+            ("0.0,0,0.0,0.0\n0.0,1,1.0,0.0\n1.0,0,1.0,0.0\n1.0,1,1e300,0.0\n",
+             "frame t=1.0: positions span 1e+300 x 0 m"),
+        ],
+        ids=["one-frame", "1e300-m"],
+    )
+    def test_unusable_trace_exits_2(self, tmp_path, capsys, rows, named):
+        # a trace no step can use is a bad input, named before out is made
+        path = tmp_path / "trace.csv"
+        path.write_text("time_s,rider_id,s_m,d_m\n" + rows)
+        args = ["routing", "--out", str(tmp_path / "out"), "--set", f"trace={path}", "--set", "k_neighbors=1"]
+        assert main(args) == 2
+        assert f"config error: {path}: {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_csv_exits_2(self, tmp_path, capsys):

@@ -535,7 +535,7 @@ class TestSinkCollect:
 
         def collect():
             return collect_timestep(
-                readings, pos, sinks, radio, cap_m=cap_m, step_index=step, check_aggregates=1e-6
+                readings, pos, sinks, radio, cap_m=cap_m, step_index=step, check_aggregates=True
             )
 
         rows, values = sink_system_reference(readings, pos, sinks, radio, cap_m, step)
@@ -564,7 +564,7 @@ class TestSinkCollect:
         radio = RadioParams(range_m=8.0, loss_p=loss_p, seed=3)
         readings = np.linspace(8.0, 12.0, 30)
         result = collect_timestep(
-            readings, pos, sinks, radio, cap_m=4, step_index=2, check_aggregates=1e-9
+            readings, pos, sinks, radio, cap_m=4, step_index=2, check_aggregates=True
         )
         assert result.rounds_used == 7
         assert set(forwards) == set(range(3, 8))
@@ -617,13 +617,13 @@ class TestCollectTimestep:
 
     def test_lossfree_full_rank(self):
         readings, pos, sinks, radio = self._scenario()
-        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=True)
         assert result.rounds_used >= 3
         assert rank(result.system.rows) == 40
 
     def test_lossy_round_trip_reconstruction(self):
         readings, pos, sinks, radio = self._scenario(loss_p=0.5, seed=3)
-        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=True)
         graph = knn_graph(pos, 8)
         estimate, _ = reconstruct(result.system, graph)
 
@@ -704,9 +704,8 @@ class TestCollectTimestep:
 
         monkeypatch.setattr(protocol, "mix_aggregates", drifting)
         readings, pos, sinks, radio = self._scenario()
-        collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-5)
         with pytest.raises(NumericalError, match=r"sensor 5, round 2"):
-            collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+            collect_timestep(readings, pos, sinks, radio, check_aggregates=True)
 
     def _last_round_heard(self, pos, sinks, radio, rounds):
         links = in_range_links(pos, sinks, radio.range_m)
@@ -733,7 +732,7 @@ class TestCollectTimestep:
     def test_last_round_steps_only_senders_a_sink_hears(self, monkeypatch):
         calls, matrices = self._recording_steps(monkeypatch)
         readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=5)
-        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=True)
         last = result.rounds_used
         heard = self._last_round_heard(pos, sinks, radio, last)
         assert 0 < len(heard) < 40
@@ -748,7 +747,7 @@ class TestCollectTimestep:
     def test_no_sink_hears_anyone(self, monkeypatch, sinks):
         calls, matrices = self._recording_steps(monkeypatch)
         readings, pos, _, radio = self._scenario()
-        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+        result = collect_timestep(readings, pos, sinks, radio, check_aggregates=True)
         assert result.system.k == 0
         assert result.system.rows.shape == (0, 40)
         assert len(result.uncoverable) == 40
@@ -772,7 +771,7 @@ class TestCollectTimestep:
 
         monkeypatch.setattr(protocol, "step_sensor", drifting)
         with pytest.raises(NumericalError, match=rf"sensor {culprit}, round {last}\)"):
-            collect_timestep(readings, pos, sinks, radio, check_aggregates=1e-9)
+            collect_timestep(readings, pos, sinks, radio, check_aggregates=True)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -788,10 +787,28 @@ class TestCollectTimestep:
         cap_m = data.draw(st.integers(2, 64), label="cap_m")
         readings = rng.uniform(-50.0, 50.0, n)
         system = collect_timestep(
-            readings, pos, place_sinks(pos), radio, cap_m=cap_m, check_aggregates=1e-9
+            readings, pos, place_sinks(pos), radio, cap_m=cap_m, check_aggregates=True
         ).system
         assert np.abs(system.rows).max(initial=0) < cap_m
         assert np.abs(system.rows @ readings - system.values).max(initial=0) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_check_aggregates_scales_with_readings(self, data):
+        # the hook's tolerance follows the size of each aggregate's terms, so
+        # riders at any speed pass it, as they pass without it
+        n = data.draw(st.integers(2, 40), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+        pos = RiderPositions(1.0, np.column_stack([rng.uniform(0, 150, n), rng.uniform(-4, 4, n)]))
+        radio = RadioParams(
+            range_m=data.draw(st.floats(10.0, 60.0), label="range_m"),
+            loss_p=data.draw(st.floats(0.0, 0.6), label="loss_p"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        )
+        cap_m = data.draw(st.integers(2, 64), label="cap_m")
+        scale = 10.0 ** data.draw(st.floats(0.0, 12.0), label="log10_scale")
+        readings = scale * rng.uniform(-50.0, 50.0, n)
+        collect_timestep(readings, pos, place_sinks(pos), radio, cap_m=cap_m, check_aggregates=True)
 
 
 class TestWireFormat:

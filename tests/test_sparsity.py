@@ -13,7 +13,7 @@ from csagg.protocol import reconstruct
 from csagg.sparsity import (
     CONSISTENCY_RTOL,
     Measurement,
-    build_basis_l1,
+    build_l1,
     build_pairwise_l1,
     decode_consistent,
     decode_solution,
@@ -44,7 +44,7 @@ class TestBasisL1:
         rng = np.random.default_rng(0)
         y = rng.standard_normal(6)
         meas = Measurement(np.eye(6), y)
-        x = recover(build_basis_l1(meas, dct_matrix(6)), 6)
+        x = recover(build_l1(meas, dct_matrix(6)), 6)
         assert np.abs(x - y).max() <= 1e-8
 
     def test_sparse_dct_signal_recovered(self):
@@ -55,7 +55,7 @@ class TestBasisL1:
         coeffs[support] = rng.uniform(1.0, 3.0, size=3)
         x0 = phi.T @ coeffs
         a = bernoulli_matrix(rng, 16, 32)
-        x = recover(build_basis_l1(Measurement(a, a @ x0), phi), 32)
+        x = recover(build_l1(Measurement(a, a @ x0), phi), 32)
         assert np.abs(x - x0).max() <= 1e-5
 
     def test_lost_data_column_removal_beats_zero_filling(self):
@@ -73,20 +73,25 @@ class TestBasisL1:
 
         x_zeroed = x0.copy()
         x_zeroed[lost] = 0.0
-        est_zero = recover(build_basis_l1(Measurement(a, a @ x_zeroed), phi), n)
+        est_zero = recover(build_l1(Measurement(a, a @ x_zeroed), phi), n)
         # the surviving entries keep the original sparse coefficients, seen
         # through the row-restricted inverse transform
         a_kept = a[:, kept]
         synth = phi.T[kept]
         chat = recover(
-            build_basis_l1(Measurement(a_kept @ synth, a_kept @ x0[kept]), np.eye(n)),
+            build_l1(Measurement(a_kept @ synth, a_kept @ x0[kept]), np.eye(n)),
             n,
         )
         assert stress(x0[kept], synth @ chat) < stress(x0, est_zero)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            build_basis_l1(Measurement(np.eye(4), np.zeros(4)), dct_matrix(5))
+        with pytest.raises(DimensionError, match=r"prior operator is \(5, 5\), expected \(p, 4\)"):
+            build_l1(Measurement(np.eye(4), np.zeros(4)), dct_matrix(5))
+
+    @pytest.mark.parametrize("t", [np.zeros((0, 4)), np.ones(4)], ids=["no-rows", "1-d"])
+    def test_operator_without_rows_rejected(self, t):
+        with pytest.raises(DimensionError, match=r"expected \(p, 4\) with p >= 1"):
+            build_l1(Measurement(np.eye(4), np.zeros(4)), t)
 
 
 class TestPairwiseL1:
@@ -220,9 +225,9 @@ class TestFormulationEquivalence:
             a = rng.standard_normal((n, n)) + 2 * np.eye(n)
             x0 = rng.standard_normal(n)
             y = a @ x0
-            x_direct = recover(build_basis_l1(Measurement(a, y), phi), n)
+            x_direct = recover(build_l1(Measurement(a, y), phi), n)
             c_star = recover(
-                build_basis_l1(Measurement(a @ np.linalg.inv(phi), y), np.eye(n)), n
+                build_l1(Measurement(a @ np.linalg.inv(phi), y), np.eye(n)), n
             )
             x_via_coeffs = np.linalg.solve(phi, c_star)
             assert np.abs(x_direct - x_via_coeffs).max() <= 1e-6
@@ -233,7 +238,7 @@ class TestFormulationEquivalence:
         meas = Measurement(np.eye(5), y)
         edges = ((0, 1), (1, 2), (2, 3), (3, 4))
         for problem in (
-            build_basis_l1(meas, dct_matrix(5)),
+            build_l1(meas, dct_matrix(5)),
             build_pairwise_l1(meas, edges),
         ):
             x = recover(problem, 5)
@@ -241,10 +246,11 @@ class TestFormulationEquivalence:
 
 
 def _random_prior(rng: np.random.Generator, prior: str, n: int):
-    """(operator T, builder) for one prior on a random connected edge set."""
-    if prior == "basis":
-        basis = rng.standard_normal((n, n))
-        return basis, lambda meas: build_basis_l1(meas, basis)
+    """(operator T, builder) for one prior: a random (p, n) operator, p from 1
+    to 2n, or the differences over a random connected edge set."""
+    if prior == "operator":
+        t = rng.standard_normal((int(rng.integers(1, 2 * n + 1)), n))
+        return t, lambda meas: build_l1(meas, t)
     # a random spanning tree keeps the graph connected; extra edges on top
     edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
     for i, j in rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2)).tolist():
@@ -259,7 +265,7 @@ class TestSplitResidualEquivalence:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        prior=st.sampled_from(["basis", "pairwise"]),
+        prior=st.sampled_from(["operator", "pairwise"]),
         n=st.integers(min_value=2, max_value=12),
         k_frac=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -288,7 +294,7 @@ class TestDualEquivalence:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        prior=st.sampled_from(["basis", "pairwise"]),
+        prior=st.sampled_from(["operator", "pairwise"]),
         n=st.integers(min_value=2, max_value=12),
         k_frac=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -349,7 +355,7 @@ class TestRowEchelonLp:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        prior=st.sampled_from(["basis", "pairwise"]),
+        prior=st.sampled_from(["operator", "pairwise"]),
         shape=st.sampled_from(["full_row_rank", "routing_like", "duplicate_rows"]),
         n=st.integers(min_value=3, max_value=12),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
