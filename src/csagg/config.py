@@ -79,6 +79,12 @@ class ExperimentConfig:
             raise ConfigError(f"{path} cannot be written")
         return path
 
+    def _at_least(self, lowest: int, *keys: str) -> None:
+        for key in keys:
+            value = getattr(self, key)
+            if value < lowest:
+                raise ConfigError(f"{key}={value} must be >= {lowest}")
+
     def validate(self) -> None:
         for key, (owner, field, kind) in KEYS.items():
             value = _value(self, owner, field)
@@ -89,21 +95,17 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.graph_mode not in GRAPH_MODES:
-            raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}")
+            raise ConfigError(f"graph_mode={self.graph_mode} must be one of {GRAPH_MODES}")
         self.radio()  # RadioParams checks range_m and loss_p
-        if self.k_measurements < 1 or self.k_neighbors < 1:
-            raise ConfigError("k_measurements and k_neighbors must be >= 1")
+        self._at_least(1, "k_measurements", "k_neighbors")
         payload_bits(self.peloton.n, self.cap_m)  # checks cap_m
-        if min(self.dct_n, self.dct_sparsity, self.dct_k) < 1 or self.dct_losses < 0:
-            raise ConfigError("dct-demo sizes must be positive (losses >= 0)")
+        self._at_least(1, "dct_n", "dct_sparsity", "dct_k")
+        self._at_least(0, "dct_losses")
         if self.dct_sparsity > self.dct_n:
             raise ConfigError(f"dct_sparsity={self.dct_sparsity} must not exceed dct_n={self.dct_n}")
         if self.dct_losses >= self.dct_n:
             raise ConfigError(f"dct_losses={self.dct_losses} must be smaller than dct_n={self.dct_n}")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed={self.seed} must be >= 0")
+        self._at_least(0, "steps", "seed")
         self.peloton.validate()
         n = self.peloton.n
         # each array's own size key first: n x n before k_measurements x n

@@ -95,14 +95,13 @@ class PelotonParams:
                 raise ConfigError(f"{f.name}={value} must be finite")
         if not np.isfinite(self.base_speed_profile).all():
             raise ConfigError(f"base_speed_profile {self.base_speed_profile} must be finite")
-        if self.n < 1 or self.dt <= 0 or self.duration <= 0:
-            raise ConfigError("n, dt and duration must be positive")
-        if min(self.separation_gain, self.alignment_gain, self.cohesion_gain) < 0:
-            raise ConfigError("gains must be >= 0")
-        if self.breakaway_rate < 0 or self.breakaway_duration < 0:
-            raise ConfigError("breakaway rates must be >= 0")
-        if self.neighbor_radius <= 0 or self.init_length <= 0:
-            raise ConfigError("neighbor_radius and init_length must be positive")
+        for name in ("n", "dt", "duration", "neighbor_radius", "init_length"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}={getattr(self, name)} must be positive")
+        for name in ("separation_gain", "alignment_gain", "cohesion_gain",
+                     "breakaway_rate", "breakaway_duration"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 0")
         if not self.base_speed_profile:
             raise ConfigError("speed profile is empty")
         if self.seed < 0:

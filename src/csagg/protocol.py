@@ -27,9 +27,9 @@ The random draws are counter-based: draw j of sensor i in round r of step t
 is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j), its prefix
 from radio.key_chain, turned into a uniform in [0, 1), so a sensor's draws
 depend on nothing but that key. Each round hashes one block per stepped
-sensor in a single array call; a block holds the subsample's uniforms (only
-when the inbox overflows the cap), then one uniform per sign, self first and
-the inbox in sender order.
+sensor in a single array call, laid out as block_layout states; round 2
+reads the blocks whole (unit_round_terms) and later rounds hand each
+sensor its own (step_sensor).
 
 Every message a sink hears contributes one linear equation
 aggregate = coeff_row . X to the sink-side system, a sparsity.Measurement
@@ -125,40 +125,14 @@ def sensor_uniforms(
     return (z >> np.uint64(11)) * 2.0**-53
 
 
-class SensorDraws:
-    """One sensor's block of uniforms behind the two Generator methods that
-    step_sensor calls. A draw past the end of the block raises IndexError."""
-
-    def __init__(self, uniforms: np.ndarray):
-        self._uniforms = uniforms
-        self._next = 0
-
-    def _take(self, count: int) -> np.ndarray:
-        end = self._next + count
-        if end > len(self._uniforms):
-            raise IndexError(f"draw {end} from a block of {len(self._uniforms)} uniforms")
-        taken = self._uniforms[self._next : end]
-        self._next = end
-        return taken
-
-    def choice(self, a: int, size: int, replace: bool = False) -> np.ndarray:
-        """Positions of the size smallest of the next a uniforms, ties to the
-        earlier one: a uniform subsample of range(a) without replacement."""
-        if replace:
-            raise ValueError("a block subsamples without replacement only")
-        return np.argsort(self._take(a), kind="stable")[:size]
-
-    def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        """floor(low + u * (high - low)) for each of the next size uniforms u."""
-        return np.floor(low + self._take(size) * (high - low)).astype(np.int64)
-
-
-def block_layout(inbox_sizes: np.ndarray, cap_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(subsample, signs): the uniforms step_sensor draws for each inbox size
-    m, m subsample uniforms when the inbox overflows the cap (m + 1 > cap_m)
-    and none otherwise, then one sign uniform per term, self first."""
-    m = np.asarray(inbox_sizes, dtype=np.int64)
-    return np.where(m + 1 > cap_m, m, 0), np.minimum(m, cap_m - 1) + 1
+def block_layout(m: int | np.ndarray, cap_m: int) -> tuple:
+    """(subsample, signs): the uniforms in the block of a sensor whose inbox
+    holds m messages, for an int m or an int64 array of them. The block holds
+    m subsample uniforms when the inbox overflows the cap (m + 1 > cap_m) and
+    none otherwise, then one sign uniform per term, self first and the kept
+    inbox in order."""
+    over = m + 1 > cap_m
+    return over * m, m + 1 - over * (m + 1 - cap_m)
 
 
 def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -182,9 +156,9 @@ def unit_round_terms(
     order, and its block of uniforms is the k-th of block_layout's, in order.
     An inbox over the cap keeps the cap_m - 1 messages with the smallest of
     the block's first inbox_size[k] uniforms, ties to the earlier one, in
-    inbox order. Each term draws the sign 2*floor(2u) - 1. The triples come
-    grouped by row, each row's terms self first and then the kept inbox:
-    step_sensor's draws and summation order.
+    inbox order. Each term is signed +1 where its uniform is >= 0.5 and -1
+    otherwise. The triples come grouped by row, each row's terms self first
+    and then the kept inbox: step_sensor's draws and summation order.
     """
     subsample, signs = block_layout(inbox_size, cap_m)
     block = np.cumsum(subsample + signs) - (subsample + signs)
@@ -207,7 +181,6 @@ def unit_round_terms(
     col = np.empty(row.size, dtype=np.int64)
     col[own] = senders
     col[~own] = heard[kept]
-    # 2*floor(2u) - 1 is +1 exactly when u >= 0.5
     sign = np.where(uniforms[ranges(block + subsample, signs)] >= 0.5, 1, -1)
     return row, col, sign
 
@@ -245,15 +218,18 @@ def plan_rounds(hops: np.ndarray) -> tuple[int, tuple[int, ...]]:
 def step_sensor(
     state: SensorState,
     inbox: list[AggregateMessage],
-    rng: np.random.Generator | SensorDraws,
+    draws: np.random.Generator | np.ndarray,
     cap_m: int = DEFAULT_CAP,
 ) -> tuple[SensorState, AggregateMessage]:
     """Advance one sensor by one round: random +/-1 combination of the inbox.
 
-    The sensor's own previous message always contributes; if the inbox pushes
-    the contributor count above cap_m, a uniform subsample of the inbox is
-    combined instead (self always kept). rng draws the subsample with one
-    choice call, then every sign, self first, with one integers call. A
+    The step reads the k uniforms of block_layout(len(inbox), cap_m): from a
+    Generator with draws.random(k), or as the sensor's block, which must hold
+    exactly k (another length raises DimensionError). The sensor's own
+    previous message always contributes; an inbox that pushes the
+    contributor count above cap_m keeps the cap_m - 1 messages with the
+    smallest subsample uniforms, ties to the earlier one, in inbox order.
+    Each term is signed +1 where its uniform is >= 0.5 and -1 otherwise. A
     combination with a coefficient of cap_m or more would not fit its
     ceil(log2 cap_m)-bit slot: it is not sent, and the sensor forwards its
     previous row and aggregate instead, with mixing row e_i. A previous row
@@ -271,13 +247,18 @@ def step_sensor(
             raise DimensionError(
                 f"inbox message from round {msg.round}, sensor is at round {state.round}"
             )
+    subsample, terms = block_layout(len(inbox), cap_m)
+    u = draws.random(subsample + terms) if isinstance(draws, np.random.Generator) else draws
+    if len(u) != subsample + terms:
+        raise DimensionError(
+            f"sensor {state.id} got a block of {len(u)} uniforms, its step reads {subsample + terms}"
+        )
     contributors = inbox
-    if len(inbox) + 1 > cap_m:
-        pick = rng.choice(len(inbox), size=cap_m - 1, replace=False)
+    if subsample:
+        pick = np.argsort(u[:subsample], kind="stable")[: cap_m - 1]
         contributors = [inbox[i] for i in np.sort(pick).tolist()]
 
-    # one draw per term, self first
-    signs = 2 * rng.integers(0, 2, size=len(contributors) + 1) - 1
+    signs = np.where(u[subsample:] >= 0.5, 1, -1)
     new_row = signs @ np.array([state.coeff_row, *[msg.coeff_row for msg in contributors]])
     mix_row = np.zeros(n, dtype=np.int64)
     if np.abs(new_row).max(initial=0) >= cap_m:
@@ -400,7 +381,6 @@ def collect_timestep(
             # round rnd steps every sensor, or in the last round the heard ones
             senders = heard if last else np.arange(n)
             sizes, starts = inbox_sizes[senders], (np.cumsum(inbox_sizes) - inbox_sizes)[senders]
-            # a block holds exactly the uniforms step_sensor draws
             subsample, signs = block_layout(sizes, cap_m)
             uniforms = sensor_uniforms(radio.seed, step_index, rnd - 1, senders, subsample + signs)
             if rnd == 2:
@@ -421,7 +401,7 @@ def collect_timestep(
                     step_sensor(
                         SensorState(i, rnd - 1, rows[i], values[i]),
                         [messages[j] for j in inbox[start : start + size]],
-                        SensorDraws(uniforms[lo:hi]),
+                        uniforms[lo:hi],
                         cap_m,
                     )
                     for i, start, size, lo, hi in zip(

@@ -34,7 +34,7 @@ class RadioParams:
         if not 0.0 < self.range_m < math.inf:
             raise ConfigError(f"range_m={self.range_m} must be positive and finite")
         if not 0.0 <= self.loss_p <= 1.0:
-            raise ConfigError("loss_p must be in [0, 1]")
+            raise ConfigError(f"loss_p={self.loss_p} must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -293,22 +292,12 @@ class ScalarDraws:
         self.keys = (seed, step_index, round_index, sensor)
         self.drawn = 0
 
-    def uniform(self) -> float:
+    def random(self) -> float:
         z = splitmix64_reference(DRAW_TAG)
         for key in (*self.keys, self.drawn):
             z = splitmix64_reference(z ^ key)
         self.drawn += 1
         return (z >> 11) * 2.0**-53
-
-    def choice(self, a: int, size: int, replace: bool = False) -> list[int]:
-        """The positions of the size smallest of the next a uniforms; sorted()
-        is stable, so tied uniforms keep their order."""
-        assert not replace
-        u = [self.uniform() for _ in range(a)]
-        return sorted(range(a), key=u.__getitem__)[:size]
-
-    def integers(self, low: int, high: int) -> int:
-        return math.floor(low + self.uniform() * (high - low))
 
 
 def step_sensor_reference(
@@ -317,8 +306,12 @@ def step_sensor_reference(
     rng: np.random.Generator | ScalarDraws,
     cap_m: int,
 ) -> tuple[SensorState, AggregateMessage]:
-    """protocol.step_sensor one contributor at a time: a scalar sign draw
-    per term (self first), the row and aggregate summed term by term."""
+    """protocol.step_sensor one contributor at a time, each uniform a scalar
+    rng.random(): an inbox of cap_m or more messages draws one uniform per
+    message and keeps the cap_m - 1 smallest (sorted() is stable, so tied
+    uniforms keep their order), in inbox order; then each term, self first,
+    draws its sign (+1 when u >= 0.5), and the row and aggregate are summed
+    term by term."""
     own_peak = int(np.abs(state.coeff_row).max(initial=0))
     if own_peak >= cap_m:
         raise ConfigError(
@@ -331,7 +324,8 @@ def step_sensor_reference(
             )
     contributors = list(inbox)
     if len(contributors) + 1 > cap_m:
-        pick = rng.choice(len(contributors), size=cap_m - 1, replace=False)
+        u = [rng.random() for _ in contributors]
+        pick = sorted(range(len(u)), key=u.__getitem__)[: cap_m - 1]
         contributors = [contributors[i] for i in sorted(pick)]
 
     n = state.coeff_row.shape[0]
@@ -346,7 +340,7 @@ def step_sensor_reference(
         payload_bits=payload_bits(n, cap_m),
     )
     for msg in [own] + contributors:
-        sign = 1 if rng.integers(0, 2) == 1 else -1
+        sign = 1 if rng.random() >= 0.5 else -1
         new_row += sign * msg.coeff_row
         new_aggregate += sign * msg.aggregate
         mix_row[msg.sender] = sign

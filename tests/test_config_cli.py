@@ -344,6 +344,25 @@ class TestCli:
         assert f"cap_m={value} must be in [2, 2147483648]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    # a rule on one key names it, or the race field it sets, with the value
+    @pytest.mark.parametrize("setting, message", [
+        ("k_measurements=0", "k_measurements=0 must be >= 1"),
+        ("k_neighbors=0", "k_neighbors=0 must be >= 1"),
+        ("steps=-1", "steps=-1 must be >= 0"),
+        ("loss_p=2", "loss_p=2.0 must be in [0, 1]"),
+        ("graph_mode=x", "graph_mode=x must be one of ('reconstruction', 'truth')"),
+        ("dct_k=0", "dct_k=0 must be >= 1"),
+        ("dct_losses=-1", "dct_losses=-1 must be >= 0"),
+        ("n=0", "n=0 must be positive"),
+        ("dt_s=0", "dt=0.0 must be positive"),
+        ("neighbor_radius_m=0", "neighbor_radius=0.0 must be positive"),
+        ("cohesion_gain=-1", "cohesion_gain=-1.0 must be >= 0"),
+        ("breakaway_rate=-1", "breakaway_rate=-1.0 must be >= 0"),
+    ])
+    def test_rejected_key_names_itself_and_its_value(self, tmp_path, capsys, setting, message):
+        assert main(["matrix", "--out", str(tmp_path), "--set", setting]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     # a size too large for any array exits 2 before the run starts, as an
     # out-of-range cap_m does, instead of exiting 1 from deep in numpy
     @pytest.mark.parametrize(

@@ -107,6 +107,20 @@ class TestSolveLp:
         with pytest.raises(NumericalError, match="violates feasibility"):
             solve_lp(problem)
 
+    @pytest.mark.parametrize("off, accepted", [(5e-7, True), (5e-6, False)], ids=["within", "beyond"])
+    def test_feasibility_scales_with_each_rows_terms(self, monkeypatch, off, accepted):
+        # min 0 s.t. x0 - x1 = 0, x >= 0, at x near (100, 100): the row sums
+        # terms of size 200, so it may miss h = 0 by 1e-8 * 200 = 2e-6
+        problem = LpProblem([0.0, 0.0], [[1.0, -1.0]], [0.0])
+        fake = SimpleNamespace(status=0, x=np.array([100.0, 100.0 - off]), fun=0.0, message="",
+                               eqlin=SimpleNamespace(marginals=np.array([0.0])))
+        monkeypatch.setattr(csagg.linalg, "linprog", lambda *a, **k: fake)
+        if accepted:
+            assert solve_lp(problem).status is LpStatus.OPTIMAL
+        else:
+            with pytest.raises(NumericalError, match=r"violates feasibility: residual 5\.000e-06 beyond tolerance on 1 of 1 rows"):
+                solve_lp(problem)
+
     # x0 free, 0 <= x1 <= 3, 1 <= x2 <= 1.5: x0 + x2 = 1 and x1 + x2 = 2, so
     # every feasible point costs x1 + x2 = 2, and y = (0, 1) certifies it
     BOXED = LpProblem([0.0, 1.0, 1.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 2.0],

@@ -13,7 +13,6 @@ from csagg.metrics import stress
 from csagg.protocol import (
     DEFAULT_CAP,
     AggregateMessage,
-    SensorDraws,
     SensorState,
     block_layout,
     collect_timestep,
@@ -95,7 +94,7 @@ class TestSensorUniforms:
         want = []
         for i, count in asks:
             ref = ScalarDraws(key["seed"], key["step_index"], key["round_index"], i)
-            want.append([ref.uniform() for _ in range(count)])
+            want.append([ref.random() for _ in range(count)])
         assert _blocks(u, counts) == want
         assert all(0.0 <= x < 1.0 for x in u.tolist())
 
@@ -121,38 +120,45 @@ class TestSensorUniforms:
         assert not np.array_equal(one, sensor_uniforms(**base, sensors=np.array([6]), counts=[8]))
 
 
-class TestSensorDraws:
-    def test_choice_takes_the_smallest_uniforms_ties_first(self):
-        draws = SensorDraws(np.array([0.5, 0.1, 0.5, 0.1, 0.9, 0.0]))
-        assert draws.choice(5, size=3, replace=False).tolist() == [1, 3, 0]
-        assert draws.choice(1, size=1, replace=False).tolist() == [0]
+def _unit_messages(n, senders):
+    """Round-1 messages of the senders: unit rows, each reading its id."""
+    return [AggregateMessage(j, 1, np.eye(n, dtype=np.int64)[j], float(j), payload_bits(n, 32)) for j in senders]
 
-    def test_integers_floor_the_scaled_uniform(self):
-        u = np.array([0.0, 0.4999, 0.5, 0.9999, 0.0, 0.5, 0.99])
-        draws = SensorDraws(u)
-        assert draws.integers(0, 2, size=4).tolist() == [0, 0, 1, 1]
-        assert draws.integers(-3, 4, size=3).tolist() == [-3, 0, 3]
+
+class TestSensorBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 40))
+    def test_layout_of_an_int_equals_its_one_element_array(self, cap_m, size):
+        # step_sensor asks for one inbox's layout, the rounds for an array's
+        subsample, signs = block_layout(size, cap_m)
+        want = block_layout(np.array([size], dtype=np.int64), cap_m)
+        assert (subsample, signs) == (want[0][0], want[1][0])
+        assert subsample == (size if size + 1 > cap_m else 0)
+        assert signs == min(size, cap_m - 1) + 1
+
+    def test_keeps_the_smallest_uniforms_ties_first(self):
+        # five messages at cap_m=4 keep three: the uniforms 0.1, 0.1 and the
+        # first of the two 0.5s, in inbox order
+        state, _ = initial_state(0, 6, 0.0)
+        block = np.array([0.5, 0.1, 0.5, 0.1, 0.9, 0.75, 0.0, 0.5, 0.4999])
+        new_state, msg = step_sensor(state, _unit_messages(6, range(1, 6)), block, cap_m=4)
+        assert msg.coeff_row.tolist() == [1, -1, 1, 0, -1, 0]
+        assert new_state.mix_rows[0].tolist() == [1, -1, 1, 0, -1, 0]
+
+    def test_signs_split_at_one_half(self):
+        state, _ = initial_state(0, 4, 0.0)
+        block = np.array([0.0, 0.4999, 0.5, 0.9999])
+        _, msg = step_sensor(state, _unit_messages(4, range(1, 4)), block)
+        assert msg.coeff_row.tolist() == [-1, -1, 1, 1]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 30), st.data())
-    def test_draw_past_the_end_raises(self, size, data):
-        draws = SensorDraws(np.linspace(0.0, 0.9, size))
-        left = size
-        while left:
-            take = data.draw(st.integers(1, left), label="take")
-            if data.draw(st.booleans(), label="choice"):
-                assert len(draws.choice(take, size=1, replace=False)) == 1
-            else:
-                assert len(draws.integers(0, 2, size=take)) == take
-            left -= take
-        with pytest.raises(IndexError):
-            draws.integers(0, 2, size=1)
-        with pytest.raises(IndexError):
-            draws.choice(1, size=1, replace=False)
-
-    def test_sampling_with_replacement_rejected(self):
-        with pytest.raises(ValueError):
-            SensorDraws(np.zeros(4)).choice(4, size=2, replace=True)
+    @given(st.integers(2, 64), st.integers(0, 40), st.sampled_from([-1, 1]))
+    def test_block_one_short_or_long_rejected(self, cap_m, size, off):
+        state, _ = initial_state(0, size + 1, 0.0, cap_m)
+        want = sum(block_layout(size, cap_m))
+        block = np.full(want + off, 0.75)
+        with pytest.raises(DimensionError, match=rf"block of {want + off} uniforms, its step reads {want}"):
+            step_sensor(state, _unit_messages(size + 1, range(1, size + 1)), block, cap_m)
 
 
 class TestStepSensor:
@@ -169,15 +175,8 @@ class TestStepSensor:
         state, _ = initial_state(0, 2, 3.0)
         _, other = initial_state(1, 2, 5.0)
 
-        class TwoSigns:
-            draws = iter([1, 0])  # +1 for self, -1 for the neighbor
-
-            def integers(self, lo, hi, size=None):
-                if size is None:
-                    return next(self.draws)
-                return np.array([next(self.draws) for _ in range(size)])
-
-        _, msg = step_sensor(state, [other], TwoSigns())
+        # +1 for self, -1 for the neighbor
+        _, msg = step_sensor(state, [other], np.array([0.75, 0.25]))
         assert np.array_equal(msg.coeff_row, [1, -1])
         assert msg.aggregate == pytest.approx(3.0 - 5.0)
 
@@ -320,10 +319,8 @@ class TestUnitRound:
         bounds = np.cumsum(counts) - counts
         for k, i in enumerate(senders.tolist()):
             state, _ = initial_state(i, n, readings[i], cap_m)
-            draws = SensorDraws(uniforms[bounds[k] : bounds[k] + counts[k]])
-            want_state, want = step_sensor(state, [first[j] for j in inboxes[i]], draws, cap_m)
-            with pytest.raises(IndexError):
-                draws.integers(0, 2, size=1)
+            block = uniforms[bounds[k] : bounds[k] + counts[k]]
+            want_state, want = step_sensor(state, [first[j] for j in inboxes[i]], block, cap_m)
             assert np.array_equal(rows[k], want.coeff_row)
             assert np.array_equal(rows[k], want_state.mix_rows[0])
             assert np.float64(aggregates[k]).tobytes() == np.float64(want.aggregate).tobytes()
@@ -660,7 +657,7 @@ class TestCollectTimestep:
         # at cap_m=8 most inboxes are subsampled, at the default cap none is;
         # a block left with an unused uniform would let a later layout drift.
         # Round 2 is one matrix: it must read each of its uniforms once.
-        # Later rounds step each sensor, which must empty its block
+        # Later rounds hand each sensor a block of its step's length
         round_two, steps = {}, []
 
         class Logged(np.ndarray):
@@ -677,12 +674,10 @@ class TestCollectTimestep:
             logged.read = round_two.setdefault("read", [])
             return logged
 
-        def exhausting(state, inbox, rng, cap_m):
-            out = step_sensor(state, inbox, rng, cap_m)
-            with pytest.raises(IndexError):
-                rng.integers(0, 2, size=1)
+        def exhausting(state, inbox, block, cap_m):
+            assert len(block) == sum(block_layout(len(inbox), cap_m))
             steps.append(len(inbox) + 1 > cap_m)
-            return out
+            return step_sensor(state, inbox, block, cap_m)
 
         monkeypatch.setattr(protocol, "sensor_uniforms", logging_uniforms)
         monkeypatch.setattr(protocol, "step_sensor", exhausting)
@@ -838,7 +833,7 @@ class TestWireFormat:
         state = SensorState(id=0, round=2, coeff_row=message(0).coeff_row, aggregate=1.0)
         inbox = [message(j) for j in range(1, 5)]
         with pytest.raises(ConfigError, match=r"cap_m=4611686018427387904"):
-            step_sensor(state, inbox, SensorDraws(np.full(5, 0.75)), cap_m=2**62)
+            step_sensor(state, inbox, np.full(5, 0.75), cap_m=2**62)
         assert payload_bits(1, protocol.MAX_CAP) == 31 + 64
         for cap_m in (1, protocol.MAX_CAP + 1):
             with pytest.raises(ConfigError, match=rf"cap_m={cap_m} must be in \[2, {protocol.MAX_CAP}\]"):
