@@ -83,8 +83,8 @@ def _resolve_config(args: argparse.Namespace, scenario: str | None = None):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "simulate")
-    path = cfg.output("trace.csv")
     trace = simulate_race(cfg.race())
+    path = cfg.output("trace.csv")  # after the race, so a failed one leaves no out
     with open(path, "w", encoding="utf-8") as out:
         write_trace_csv(trace, out)
     print(f"wrote {path} ({trace.n} riders, {len(trace.times)} frames)")

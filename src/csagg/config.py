@@ -4,9 +4,9 @@ A config file holds one `key=value` per line (# comments allowed). The exact
 resolved configuration is embedded as a comment header in every report, so a
 run can be reproduced by copying those lines back into a config file.
 
-KEYS is the one list of config keys. It maps each key to the field it sets
-and the kind of its value, and apply_setting, config_lines and validate's
-finiteness check all read it, so a key is declared once.
+KEYS is the one list of config keys. It maps each key to the one field it
+sets and the kind of its value, and apply_setting, config_lines and
+validate's finiteness check all read it, so a key is declared once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mobility import PelotonParams, SpeedProfile, read_utf8
-from .protocol import payload_bits
+from .protocol import DEFAULT_CAP, payload_bits
 from .radio import RadioParams
 
 SCENARIOS = ("matrix", "routing", "dct-demo", "simulate")
@@ -34,11 +34,11 @@ class ExperimentConfig:
     scenario: str = "routing"
     peloton: PelotonParams = PelotonParams()
     trace_path: str | None = None
-    range_m: float = 50.0
-    loss_p: float = 0.0
+    range_m: float = RadioParams.range_m
+    loss_p: float = RadioParams.loss_p
     k_measurements: int = 60
     k_neighbors: int = 10
-    cap_m: int = 32
+    cap_m: int = DEFAULT_CAP
     graph_mode: str = "reconstruction"
     steps: int = 0  # 0 = all available velocity frames
     check_aggregates: bool = False
@@ -53,10 +53,11 @@ class ExperimentConfig:
         return RadioParams(range_m=self.range_m, loss_p=self.loss_p, seed=self.seed)
 
     def race(self) -> PelotonParams:
-        """The race a run simulates: its first steps + 1 frames, as step i
-        reads frames i and i+1, and the simulator draws frame by frame, so
-        they are exactly the start of the whole race that `simulate` writes."""
-        peloton = self.peloton
+        """The race a run simulates, seeded by the config's seed: its first
+        steps + 1 frames, as step i reads frames i and i+1, and the simulator
+        draws frame by frame, so they are exactly the start of the whole race
+        that `simulate` writes."""
+        peloton = replace(self.peloton, seed=self.seed)
         if self.steps > 0 and self.scenario != "simulate":
             peloton = replace(peloton, duration=min(peloton.duration, (self.steps + 1) * peloton.dt))
         return peloton
@@ -117,11 +118,6 @@ class ExperimentConfig:
         # an ingested trace's rider count is checked once it is loaded
         simulated = self.scenario in ("matrix", "routing") and not self.trace_path
         if simulated or self.scenario == "simulate":
-            if self.seed != self.peloton.seed:
-                raise ConfigError(
-                    f"seed={self.seed} differs from peloton.seed={self.peloton.seed}; "
-                    "the report header's one seed= line would simulate another race"
-                )
             frames = self.race().duration / self.peloton.dt  # a float: it may overflow
             if frames * n * 2 > MAX_ELEMENTS:
                 raise ConfigError(
@@ -223,8 +219,6 @@ def apply_setting(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConf
         parsed = parse(value)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    if key == "seed":  # one seed for the run and its simulated race
-        return replace(cfg, seed=parsed, peloton=replace(cfg.peloton, seed=parsed))
     if owner is PelotonParams:
         return replace(cfg, peloton=replace(cfg.peloton, **{field: parsed}))
     return replace(cfg, **{field: parsed})

@@ -44,14 +44,13 @@ def load_race(cfg: ExperimentConfig) -> RaceTrace:
     return trace
 
 
-def _start(cfg: ExperimentConfig, scenario: str, load: Callable[[ExperimentConfig], RaceTrace | None]):
-    """(load(cfg), `<out>/report_<scenario>.csv`) for a cfg of that scenario,
-    validated first. The out directory is made after the input loads, so a
-    bad input leaves none behind, and before any step runs."""
-    if cfg.scenario != scenario:
-        raise ConfigError(f"{scenario} run called with scenario={cfg.scenario!r}")
+def _start(cfg: ExperimentConfig, load: Callable[[ExperimentConfig], RaceTrace | None]):
+    """(load(cfg), `<out>/report_<scenario>.csv`) for cfg, validated first;
+    each runner sets the scenario it runs. The out directory is made after
+    the input loads, so a bad input leaves none behind, and before any step
+    runs."""
     cfg.validate()
-    return load(cfg), cfg.output(f"report_{scenario.replace('-', '_')}.csv")
+    return load(cfg), cfg.output(f"report_{cfg.scenario.replace('-', '_')}.csv")
 
 
 def _collect_matrix(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndarray) -> CollectionResult:
@@ -78,9 +77,7 @@ def _collect_routing(cfg: ExperimentConfig, trace: RaceTrace, i: int, x: np.ndar
 
 
 def _run(
-    cfg: ExperimentConfig,
-    scenario: str,
-    collect: Callable[[ExperimentConfig, RaceTrace, int, np.ndarray], CollectionResult],
+    cfg: ExperimentConfig, collect: Callable[[ExperimentConfig, RaceTrace, int, np.ndarray], CollectionResult]
 ) -> RunResult:
     """The step loop both experiments share. collect(cfg, trace, i, x) gives
     the sink's equations for step i, whose true velocities are x. A step
@@ -92,7 +89,7 @@ def _run(
     sink integrates its own velocity estimates, s_hat, from the true initial
     along-road positions (lateral treated as 0), so after warm-up the graph
     reflects what the sink actually knows."""
-    trace, path = _start(cfg, scenario, load_race)
+    trace, path = _start(cfg, load_race)
     times, vels = velocities(trace)
     s_hat = trace.pos[0, :, 0]
     reports = []
@@ -127,12 +124,12 @@ def _run(
 
 def run_matrix(cfg: ExperimentConfig) -> RunResult:
     """Experiment 1: the sink directly receives Y = A X with a random +/-1 matrix."""
-    return _run(cfg, "matrix", _collect_matrix)
+    return _run(replace(cfg, scenario="matrix"), _collect_matrix)
 
 
 def run_routing(cfg: ExperimentConfig) -> RunResult:
     """Experiment 2: multi-round broadcast/aggregate collection under packet loss."""
-    return _run(cfg, "routing", _collect_routing)
+    return _run(replace(cfg, scenario="routing"), _collect_routing)
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,8 @@ def _basis_recover(a: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def run_dct_demo(cfg: ExperimentConfig) -> DctDemoResult:
     """Lost-data demonstration: zero-filling vs column-removal basis-L1 recovery."""
-    _, path = _start(cfg, "dct-demo", lambda cfg: None)
+    cfg = replace(cfg, scenario="dct-demo")
+    _, path = _start(cfg, lambda cfg: None)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xDC7)))
     n = cfg.dct_n
     x = dct_demo_signal(cfg, rng)

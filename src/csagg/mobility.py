@@ -104,6 +104,10 @@ class PelotonParams:
                 raise ConfigError(f"{name}={getattr(self, name)} must be >= 0")
         if not self.base_speed_profile:
             raise ConfigError("speed profile is empty")
+        starts = sorted(start for start, _ in self.base_speed_profile)
+        for start, following in zip(starts, starts[1:]):
+            if start == following:
+                raise ConfigError(f"base_speed_profile {self.base_speed_profile} repeats start time t={start:g}")
         if self.seed < 0:
             raise ConfigError(f"peloton seed={self.seed} must be >= 0")
 

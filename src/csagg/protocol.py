@@ -260,9 +260,9 @@ def step_sensor(
 
     signs = np.where(u[subsample:] >= 0.5, 1, -1)
     new_row = signs @ np.array([state.coeff_row, *[msg.coeff_row for msg in contributors]])
-    mix_row = np.zeros(n, dtype=np.int64)
     if np.abs(new_row).max(initial=0) >= cap_m:
         new_row, new_aggregate = state.coeff_row, state.aggregate
+        mix_row = np.zeros(n, dtype=np.int64)
         mix_row[state.id] = 1
     else:
         # summed term by term, self first: a pairwise or BLAS sum rounds differently
@@ -271,7 +271,10 @@ def step_sensor(
             signs.tolist(), [state.aggregate, *[msg.aggregate for msg in contributors]]
         ):
             new_aggregate += sign * aggregate
-        mix_row[[state.id, *[msg.sender for msg in contributors]]] = signs
+        # mixing_matrix's rule: a sender heard twice, or the sensor's own
+        # message in its inbox, adds its signs up
+        senders = [state.id, *[msg.sender for msg in contributors]]
+        mix_row = np.bincount(senders, weights=signs, minlength=n).astype(np.int64)
     new_state = SensorState(
         id=state.id,
         round=state.round + 1,

@@ -343,7 +343,7 @@ def step_sensor_reference(
         sign = 1 if rng.random() >= 0.5 else -1
         new_row += sign * msg.coeff_row
         new_aggregate += sign * msg.aggregate
-        mix_row[msg.sender] = sign
+        mix_row[msg.sender] += sign
 
     if np.abs(new_row).max(initial=0) >= cap_m:
         new_row, new_aggregate = state.coeff_row, state.aggregate
@@ -615,7 +615,7 @@ def apply_setting_reference(cfg: ExperimentConfig, key: str, value: str) -> Expe
             case "dct_k":
                 return replace(cfg, dct_k=int(value))
             case "seed":
-                return replace(cfg, seed=int(value), peloton=replace(p, seed=int(value)))
+                return replace(cfg, seed=int(value))
             case "out":
                 return replace(cfg, out_dir=value)
             case _:

@@ -45,6 +45,7 @@ _PROFILE = st.lists(
     st.tuples(_floats(min_value=-1e6, max_value=1e6), _floats(min_value=-1e3, max_value=1e3)),
     min_size=1,
     max_size=4,
+    unique_by=lambda pair: float(pair[0]),  # a profile gives each start time once
 ).map(lambda pairs: ";".join(f"{t}:{v}" for t, v in pairs))
 
 # every key that config_lines prints, each with values that pass validation
@@ -120,7 +121,7 @@ class TestConfig:
         assert cfg.scenario == "matrix"
         assert cfg.peloton.n == 20
         assert cfg.k_measurements == 8
-        assert cfg.seed == 5 and cfg.peloton.seed == 5
+        assert cfg.seed == 5 and cfg.race().seed == 5
         assert cfg.loss_p == 0.25
 
     def test_unknown_key(self):
@@ -228,10 +229,11 @@ class TestConfig:
                 cfg.validate()
 
     @pytest.mark.parametrize("scenario", ["matrix", "routing", "simulate"])
-    def test_seed_must_match_simulated_race(self, scenario):
-        cfg = ExperimentConfig(scenario=scenario, seed=5)
-        with pytest.raises(ConfigError, match="seed=5.*peloton.seed=0"):
+    def test_config_seed_seeds_the_race(self, scenario):
+        for peloton in (PelotonParams(), PelotonParams(seed=7)):
+            cfg = ExperimentConfig(scenario=scenario, seed=5, peloton=peloton)
             cfg.validate()
+            assert cfg.race().seed == 5
 
     @pytest.mark.parametrize("scenario", ["matrix", "dct-demo"])
     def test_negative_seed_rejected(self, scenario):
@@ -358,6 +360,11 @@ class TestCli:
         ("neighbor_radius_m=0", "neighbor_radius=0.0 must be positive"),
         ("cohesion_gain=-1", "cohesion_gain=-1.0 must be >= 0"),
         ("breakaway_rate=-1", "breakaway_rate=-1.0 must be >= 0"),
+        # sorted, either order would run one of the two speeds from t=0
+        ("base_speed_profile=0:10;0:12", "base_speed_profile ((0.0, 10.0), (0.0, 12.0)) repeats start time t=0"),
+        ("base_speed_profile=0:12;0:10", "base_speed_profile ((0.0, 10.0), (0.0, 12.0)) repeats start time t=0"),
+        ("base_speed_profile=5:10,0:9,5:11",
+         "base_speed_profile ((0.0, 9.0), (5.0, 10.0), (5.0, 11.0)) repeats start time t=5"),
     ])
     def test_rejected_key_names_itself_and_its_value(self, tmp_path, capsys, setting, message):
         assert main(["matrix", "--out", str(tmp_path), "--set", setting]) == 2
@@ -478,6 +485,8 @@ class TestCli:
         out, err = capsys.readouterr()
         assert f"runtime error: {named}" in err
         assert "nan" not in out
+        if argv[0] == "simulate":  # out is made once the race is simulated, as by every run
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "args, line",
@@ -514,6 +523,23 @@ class TestCli:
             reports.append([line for line in text.splitlines() if not line.startswith("#")])
         assert len(reports[0]) == 4
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command, other", [("matrix", "simulate"), ("routing", "dct-demo"), ("dct-demo", "matrix")])
+    def test_runner_writes_its_subcommands_report(self, tmp_path, command, other):
+        # a Python caller states each input once: the runner sets the scenario
+        # it runs, whatever the config names, and the config's seed seeds the
+        # race, so the report is the subcommand's byte for byte
+        keys = {"steps": 3, "k_measurements": 40, "dct_n": 40, "dct_k": 20, "dct_sparsity": 4, "dct_losses": 4}
+        run = {"matrix": experiments.run_matrix, "routing": experiments.run_routing,
+               "dct-demo": experiments.run_dct_demo}[command]
+        result = run(ExperimentConfig(scenario=other, seed=5, out_dir=str(tmp_path / "api"), **keys))
+        argv = [command, "--seed", "5", "--out", str(tmp_path / "cli")]
+        for key, value in keys.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == 0
+        name = f"report_{command.replace('-', '_')}.csv"
+        assert result.report_path == str(tmp_path / "api" / name)
+        assert (tmp_path / "api" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
     def test_widest_finite_race_simulates(self, tmp_path):
         argv = ["simulate", "--out", str(tmp_path), "--set", "init_length_m=1e154", "--set", "duration_s=5"]

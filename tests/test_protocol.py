@@ -262,6 +262,27 @@ class TestStepSensor:
         final_rows = np.array([m.coeff_row for m in history[-1]], dtype=np.int64)
         assert np.array_equal(final_rows, product)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mixing_row_is_the_applied_combination(self, data):
+        # coeff_row = mix_row . R_prev for any inbox: sender j's message
+        # carries row j of R_prev, and an inbox may hear a sender twice or
+        # hold the sensor's own message, whose signs then add up
+        cap_m = data.draw(st.integers(2, 16), label="cap_m")
+        n = data.draw(st.integers(1, 8), label="n")
+        own = data.draw(st.integers(0, n - 1), label="own")
+        senders = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * cap_m), label="senders")
+        peak = data.draw(st.integers(0, cap_m - 1), label="peak")
+        layout = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+        r_prev = np.eye(n, dtype=np.int64) + layout.integers(-peak, peak + 1, (n, n))
+        r_prev = np.clip(r_prev, 1 - cap_m, cap_m - 1)
+        state = SensorState(own, 2, r_prev[own], 0.0)
+        inbox = [AggregateMessage(j, 2, r_prev[j], 0.0, payload_bits(n, cap_m)) for j in senders]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        new_state, msg = step_sensor(state, inbox, np.random.default_rng(seed), cap_m)
+        assert new_state.mix_rows[-1].dtype == np.int64
+        assert np.array_equal(new_state.mix_rows[-1] @ r_prev, msg.coeff_row)
+
     def test_coefficient_cap_overflow_forwards_previous_message(self):
         # two sensors ping-ponging with cap 2 soon draw a coefficient of 2;
         # such a combination is not sent, the sensor forwards its last message
