@@ -107,7 +107,8 @@ class ExperimentConfig:
         if self.dct_losses >= self.dct_n:
             raise ConfigError(f"dct_losses={self.dct_losses} must be smaller than dct_n={self.dct_n}")
         self._at_least(0, "steps", "seed")
-        self.peloton.validate()
+        race = self.race()
+        race.validate()
         n = self.peloton.n
         # each array's own size key first: n x n before k_measurements x n
         sizes = (("n", n, n), ("k_measurements", self.k_measurements, n),
@@ -118,7 +119,7 @@ class ExperimentConfig:
         # an ingested trace's rider count is checked once it is loaded
         simulated = self.scenario in ("matrix", "routing") and not self.trace_path
         if simulated or self.scenario == "simulate":
-            frames = self.race().duration / self.peloton.dt  # a float: it may overflow
+            frames = race.duration / race.dt  # a float: it may overflow
             if frames * n * 2 > MAX_ELEMENTS:
                 raise ConfigError(
                     f"duration_s={self.peloton.duration:g} and dt_s={self.peloton.dt:g} make "

@@ -98,6 +98,10 @@ class PelotonParams:
         for name in ("n", "dt", "duration", "neighbor_radius", "init_length"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}={getattr(self, name)} must be positive")
+        # simulate_race samples int(round(duration / dt)) instants, 2 or more
+        # exactly when duration / dt >= 1.5; an overflowing inf ratio passes
+        if self.duration / self.dt < 1.5:
+            raise ConfigError(f"duration={self.duration} must be >= 1.5 * dt to cover 2 timesteps; dt={self.dt}")
         for name in ("separation_gain", "alignment_gain", "cohesion_gain",
                      "breakaway_rate", "breakaway_duration"):
             if getattr(self, name) < 0:
@@ -172,8 +176,6 @@ def simulate_race(params: PelotonParams) -> RaceTrace:
     n, dt = params.n, params.dt
     # duration/dt sampled instants: t = 0, dt, ..., duration - dt
     steps = int(round(params.duration / dt))
-    if steps < 2:
-        raise ConfigError("duration must cover at least 2 timesteps")
 
     # one buffer for the whole race; frame step + 1 is written in place
     pos = np.empty((steps, n, 2))

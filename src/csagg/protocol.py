@@ -8,6 +8,9 @@ message), sums the combination rows and aggregates, and broadcasts the
 result; a sum with a coefficient of cap_m or more would not fit the wire, so
 the sensor forwards its previous message instead. A sensor with more than
 cap_m - 1 messages in its inbox combines a uniform subsample of cap_m - 1.
+A sensor's state after a round is the message it sent, its row and its
+aggregate: one AggregateMessage is both. A message's size on the wire is
+payload_bits(n, cap_m), a function of the run.
 
 Each round r >= 2 is one signed mixing matrix M_r on the combination rows,
 R_r = M_r R_(r-1), with R_1 the identity. collect_timestep makes one pass
@@ -18,18 +21,19 @@ cap_m >= 2 and no sensor forwards: M_2 comes from (row, col, sign) triples
 (unit_round_terms, mixing_matrix) and its aggregates are summed term by
 term, self first, as step_sensor sums them (mix_aggregates). Rounds 3 and
 later mix rows that are already sums, where a coefficient can overflow the
-cap: they build one message per sensor from the two arrays, step each
-sensor with step_sensor and stack the sent messages back. A round's
-deliveries become the heard senders and the next round's inboxes through
-one who-heard-whom table (receptions).
+cap: they build one message per sensor from the two arrays, which is its
+state and what its neighbours hear, step each sensor with step_sensor and
+stack the sent messages back. A round's deliveries become the heard
+senders and the next round's inboxes through one who-heard-whom table
+(receptions).
 
 The random draws are counter-based: draw j of sensor i in round r of step t
 is the splitmix64 hash chain of (DRAW_TAG, seed, t, r, i, j), its prefix
-from radio.key_chain, turned into a uniform in [0, 1), so a sensor's draws
-depend on nothing but that key. Each round hashes one block per stepped
-sensor in a single array call, laid out as block_layout states; round 2
-reads the blocks whole (unit_round_terms) and later rounds hand each
-sensor its own (step_sensor).
+from radio.key_chain, turned into a uniform in [0, 1) by radio.key_uniforms,
+the link losses' rule, so a sensor's draws depend on nothing but that key.
+Each round hashes one block per stepped sensor in a single array call, laid
+out as block_layout states; round 2 reads the blocks whole
+(unit_round_terms) and later rounds hand each sensor its own (step_sensor).
 
 Every message a sink hears contributes one linear equation
 aggregate = coeff_row . X to the sink-side system, a sparsity.Measurement
@@ -54,11 +58,11 @@ from .linalg import least_squares, rank, solve_lp
 from .radio import (
     RadioParams,
     RiderPositions,
-    _splitmix64,
     compute_reachability,
     hop_distance_to_sinks,
     in_range_links,
     key_chain,
+    key_uniforms,
 )
 from .sparsity import Measurement, build_pairwise_l1, decode_consistent
 
@@ -83,29 +87,25 @@ def payload_bits(n: int, cap_m: int) -> int:
 
 @dataclass(frozen=True)
 class AggregateMessage:
+    """A sensor's broadcast in a round, and its state after that round."""
+
     sender: int
     round: int
     coeff_row: np.ndarray  # (n,) int64
     aggregate: float
-    payload_bits: int
-
-
-@dataclass(frozen=True)
-class SensorState:
-    id: int
-    round: int
-    coeff_row: np.ndarray  # (n,) int64
-    aggregate: float
-    # drawn mixing rows, one length-n int vector per completed round >= 2
+    # local bookkeeping, never sent: the drawn mixing rows, one length-n int
+    # vector per completed round >= 2
     mix_rows: tuple[np.ndarray, ...] = field(default=())
 
 
 def initial_state(sensor_id: int, n: int, reading: float, cap_m: int = DEFAULT_CAP):
-    """Round-1 state and broadcast: unit row e_i with the sensor's own reading."""
+    """Round-1 (state, broadcast), one record twice: unit row e_i with the
+    sensor's own reading. A cap_m outside [2, MAX_CAP] raises ConfigError."""
+    payload_bits(n, cap_m)  # checks cap_m
     row = np.zeros(n, dtype=np.int64)
     row[sensor_id] = 1
-    state = SensorState(id=sensor_id, round=1, coeff_row=row, aggregate=float(reading))
-    return state, AggregateMessage(sensor_id, 1, row, float(reading), payload_bits(n, cap_m))
+    sent = AggregateMessage(sensor_id, 1, row, float(reading))
+    return sent, sent
 
 
 def sensor_uniforms(
@@ -117,12 +117,10 @@ def sensor_uniforms(
     step_index, round_index, i, j), independent of the other sensors asked
     for and of their order.
     """
-    key = key_chain(DRAW_TAG, seed, step_index, round_index)
-    per_sensor = _splitmix64(key ^ np.asarray(sensors).astype(np.uint64))
     counts = np.asarray(counts, dtype=np.int64)
-    draw = ranges(np.zeros_like(counts), counts)
-    z = _splitmix64(np.repeat(per_sensor, counts) ^ draw.astype(np.uint64))
-    return (z >> np.uint64(11)) * 2.0**-53
+    sensor = np.repeat(np.asarray(sensors).astype(np.uint64), counts)
+    draw = ranges(np.zeros_like(counts), counts).astype(np.uint64)
+    return key_uniforms(key_chain(DRAW_TAG, seed, step_index, round_index), sensor, draw)
 
 
 def block_layout(m: int | np.ndarray, cap_m: int) -> tuple:
@@ -216,12 +214,14 @@ def plan_rounds(hops: np.ndarray) -> tuple[int, tuple[int, ...]]:
 
 
 def step_sensor(
-    state: SensorState,
+    state: AggregateMessage,
     inbox: list[AggregateMessage],
     draws: np.random.Generator | np.ndarray,
     cap_m: int = DEFAULT_CAP,
-) -> tuple[SensorState, AggregateMessage]:
+) -> tuple[AggregateMessage, AggregateMessage]:
     """Advance one sensor by one round: random +/-1 combination of the inbox.
+    The sensor's state is the message it last sent, and the step returns
+    the one record it sends now as both its (state, message).
 
     The step reads the k uniforms of block_layout(len(inbox), cap_m): from a
     Generator with draws.random(k), or as the sensor's block, which must hold
@@ -236,11 +236,11 @@ def step_sensor(
     that does not fit, or a cap_m outside [2, MAX_CAP], raises ConfigError.
     """
     n = state.coeff_row.shape[0]
-    bits = payload_bits(n, cap_m)
+    payload_bits(n, cap_m)  # checks cap_m
     own_peak = int(np.abs(state.coeff_row).max(initial=0))
     if own_peak >= cap_m:
         raise ConfigError(
-            f"sensor {state.id} holds coefficient {own_peak} >= cap_m={cap_m}: increase cap_m"
+            f"sensor {state.sender} holds coefficient {own_peak} >= cap_m={cap_m}: increase cap_m"
         )
     for msg in inbox:
         if msg.round != state.round:
@@ -251,7 +251,7 @@ def step_sensor(
     u = draws.random(subsample + terms) if isinstance(draws, np.random.Generator) else draws
     if len(u) != subsample + terms:
         raise DimensionError(
-            f"sensor {state.id} got a block of {len(u)} uniforms, its step reads {subsample + terms}"
+            f"sensor {state.sender} got a block of {len(u)} uniforms, its step reads {subsample + terms}"
         )
     contributors = inbox
     if subsample:
@@ -263,7 +263,7 @@ def step_sensor(
     if np.abs(new_row).max(initial=0) >= cap_m:
         new_row, new_aggregate = state.coeff_row, state.aggregate
         mix_row = np.zeros(n, dtype=np.int64)
-        mix_row[state.id] = 1
+        mix_row[state.sender] = 1
     else:
         # summed term by term, self first: a pairwise or BLAS sum rounds differently
         new_aggregate = 0.0
@@ -273,23 +273,12 @@ def step_sensor(
             new_aggregate += sign * aggregate
         # mixing_matrix's rule: a sender heard twice, or the sensor's own
         # message in its inbox, adds its signs up
-        senders = [state.id, *[msg.sender for msg in contributors]]
+        senders = [state.sender, *[msg.sender for msg in contributors]]
         mix_row = np.bincount(senders, weights=signs, minlength=n).astype(np.int64)
-    new_state = SensorState(
-        id=state.id,
-        round=state.round + 1,
-        coeff_row=new_row,
-        aggregate=new_aggregate,
-        mix_rows=state.mix_rows + (mix_row,),
+    sent = AggregateMessage(
+        state.sender, state.round + 1, new_row, new_aggregate, state.mix_rows + (mix_row,)
     )
-    out = AggregateMessage(
-        sender=state.id,
-        round=state.round + 1,
-        coeff_row=new_row,
-        aggregate=new_aggregate,
-        payload_bits=bits,
-    )
-    return new_state, out
+    return sent, sent
 
 
 def reconstruct(system: Measurement, graph: NeighborGraph) -> tuple[np.ndarray, str]:
@@ -393,30 +382,29 @@ def collect_timestep(
                 rows = mixing_matrix(*terms, (n, n))
                 aggregates = mix_aggregates(*terms, aggregates, n)
             else:
-                # objects from the two arrays, the sent messages stacked back
+                # one record per sensor from the two arrays, both its state
+                # and the message its neighbours hear; the sent ones stacked back
                 values = aggregates.tolist()
-                messages = [
-                    AggregateMessage(j, rnd - 1, rows[j], values[j], message_bits) for j in range(n)
-                ]
+                last_sent = [AggregateMessage(j, rnd - 1, rows[j], values[j]) for j in range(n)]
                 inbox = inbox_from.tolist()
                 ends = np.cumsum(subsample + signs).tolist()
-                stepped = [
+                sent = [
                     step_sensor(
-                        SensorState(i, rnd - 1, rows[i], values[i]),
-                        [messages[j] for j in inbox[start : start + size]],
+                        last_sent[i],
+                        [last_sent[j] for j in inbox[start : start + size]],
                         uniforms[lo:hi],
                         cap_m,
-                    )
+                    )[1]
                     for i, start, size, lo, hi in zip(
                         senders.tolist(), starts.tolist(), sizes.tolist(), [0] + ends, ends
                     )
                 ]
-                rows = np.array([msg.coeff_row for _, msg in stepped], dtype=np.int64).reshape(-1, n)
-                aggregates = np.array([msg.aggregate for _, msg in stepped], dtype=float)
+                rows = np.array([msg.coeff_row for msg in sent], dtype=np.int64).reshape(-1, n)
+                aggregates = np.array([msg.aggregate for msg in sent], dtype=float)
             if check_aggregates:
                 # an aggregate rounds in proportion to the terms added into
                 # it; round 2's rows are its mixing rows
-                mix = rows if rnd == 2 else [state.mix_rows[-1] for state, _ in stepped]
+                mix = rows if rnd == 2 else [msg.mix_rows[-1] for msg in sent]
                 terms_size = np.abs(np.reshape(mix, (-1, n))) @ terms_size
                 err = np.abs(aggregates - rows @ readings)
                 tol = np.maximum(1e-9, 64 * np.finfo(float).eps * terms_size)

@@ -65,14 +65,21 @@ def key_chain(*parts: int) -> np.uint64:
     return np.uint64(key)
 
 
+def key_uniforms(key: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One uniform in [0, 1) per element pair of the uint64 arrays a and b:
+    the top 53 bits of splitmix64(splitmix64(key ^ a) ^ b). Link losses and
+    protocol draws both turn their keys into uniforms by this rule."""
+    z = _splitmix64(_splitmix64(key ^ a) ^ b)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
 def link_uniforms(
     seed: int, time: float, round_index: int, senders: np.ndarray, receivers: np.ndarray
 ) -> np.ndarray:
     """One uniform in [0, 1) per directed link, keyed independently of call order."""
     base = key_chain(seed, int(np.float64(time).view(np.uint64)), round_index)
-    z = _splitmix64(base ^ senders.astype(np.uint64) * np.uint64(0x2545F4914F6CDD1D))
-    z = _splitmix64(z ^ receivers.astype(np.uint64))
-    return (z >> np.uint64(11)) * 2.0**-53
+    sender = senders.astype(np.uint64) * np.uint64(0x2545F4914F6CDD1D)
+    return key_uniforms(base, sender, receivers.astype(np.uint64))
 
 
 def place_sinks(positions: RiderPositions) -> np.ndarray:

@@ -31,10 +31,8 @@ from csagg.linalg import LpProblem
 from csagg.protocol import (
     DRAW_TAG,
     AggregateMessage,
-    SensorState,
     block_layout,
     initial_state,
-    payload_bits,
 )
 from csagg.radio import RadioParams, link_uniforms
 from csagg.sparsity import Measurement
@@ -301,21 +299,22 @@ class ScalarDraws:
 
 
 def step_sensor_reference(
-    state: SensorState,
+    state: AggregateMessage,
     inbox: list[AggregateMessage],
     rng: np.random.Generator | ScalarDraws,
     cap_m: int,
-) -> tuple[SensorState, AggregateMessage]:
+) -> tuple[AggregateMessage, AggregateMessage]:
     """protocol.step_sensor one contributor at a time, each uniform a scalar
     rng.random(): an inbox of cap_m or more messages draws one uniform per
     message and keeps the cap_m - 1 smallest (sorted() is stable, so tied
     uniforms keep their order), in inbox order; then each term, self first,
     draws its sign (+1 when u >= 0.5), and the row and aggregate are summed
-    term by term."""
+    term by term. The sensor's state is the message it last sent, so it is
+    its own first term."""
     own_peak = int(np.abs(state.coeff_row).max(initial=0))
     if own_peak >= cap_m:
         raise ConfigError(
-            f"sensor {state.id} holds coefficient {own_peak} >= cap_m={cap_m}: increase cap_m"
+            f"sensor {state.sender} holds coefficient {own_peak} >= cap_m={cap_m}: increase cap_m"
         )
     for msg in inbox:
         if msg.round != state.round:
@@ -332,14 +331,7 @@ def step_sensor_reference(
     new_row = np.zeros(n, dtype=np.int64)
     new_aggregate = 0.0
     mix_row = np.zeros(n, dtype=np.int64)
-    own = AggregateMessage(
-        sender=state.id,
-        round=state.round,
-        coeff_row=state.coeff_row,
-        aggregate=state.aggregate,
-        payload_bits=payload_bits(n, cap_m),
-    )
-    for msg in [own] + contributors:
+    for msg in [state] + contributors:
         sign = 1 if rng.random() >= 0.5 else -1
         new_row += sign * msg.coeff_row
         new_aggregate += sign * msg.aggregate
@@ -348,22 +340,15 @@ def step_sensor_reference(
     if np.abs(new_row).max(initial=0) >= cap_m:
         new_row, new_aggregate = state.coeff_row, state.aggregate
         mix_row = np.zeros(n, dtype=np.int64)
-        mix_row[state.id] = 1
-    new_state = SensorState(
-        id=state.id,
+        mix_row[state.sender] = 1
+    sent = AggregateMessage(
+        sender=state.sender,
         round=state.round + 1,
         coeff_row=new_row,
         aggregate=new_aggregate,
         mix_rows=state.mix_rows + (mix_row,),
     )
-    out = AggregateMessage(
-        sender=state.id,
-        round=state.round + 1,
-        coeff_row=new_row,
-        aggregate=new_aggregate,
-        payload_bits=payload_bits(n, cap_m),
-    )
-    return new_state, out
+    return sent, sent
 
 
 def sink_system_reference(
@@ -387,7 +372,8 @@ def sink_system_reference(
     hops = hops_reference(positions, sinks, params.range_m)
     finite = hops[np.isfinite(hops)]
     rounds = max(3, int(finite.max()) if finite.size else 0)
-    states, msgs = zip(*(initial_state(i, n, readings[i], cap_m) for i in range(n)))
+    # a sensor's state is the message it last sent
+    msgs = [initial_state(i, n, readings[i], cap_m)[1] for i in range(n)]
     rows, values, seen = [], [], set()
     for rnd in range(1, rounds + 1):
         inboxes = [[] for _ in range(n)]
@@ -401,15 +387,12 @@ def sink_system_reference(
                 values.append(msg.aggregate)
         if rnd == rounds:
             break
-        states, msgs = zip(*(
+        msgs = [
             step_sensor_reference(
-                states[i],
-                inboxes[i],
-                ScalarDraws(params.seed, step_index, rnd, i),
-                cap_m,
-            )
+                msgs[i], inboxes[i], ScalarDraws(params.seed, step_index, rnd, i), cap_m
+            )[1]
             for i in range(n)
-        ))
+        ]
     return np.array(rows, dtype=np.int64).reshape(-1, n), np.array(values, dtype=float)
 
 

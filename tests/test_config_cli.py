@@ -54,10 +54,12 @@ _SETTINGS = {
     "seed": _ints(0, 2**32 - 1),
     # matrix and routing need k_neighbors < n for a simulated race; n x n,
     # k_measurements x n, dct_n x dct_n and dct_k x dct_n stay within
-    # MAX_ELEMENTS, and so do a race's (duration_s / dt_s) x n x 2 positions
+    # MAX_ELEMENTS, and so do a race's (duration_s / dt_s) x n x 2 positions.
+    # A race covers 2 timesteps, duration_s >= 1.5 dt_s, whichever of the
+    # two is drawn (the defaults are 780 and 1)
     "n": _ints(11, 46340),
-    "duration_s": _floats(min_value=0.0, exclude_min=True, max_value=1e3),
-    "dt_s": _floats(min_value=0.1, max_value=1e6),
+    "duration_s": _floats(min_value=1.5, max_value=1e3),
+    "dt_s": _floats(min_value=0.1, max_value=1.0),
     "base_speed_profile": _PROFILE,
     "separation_gain": _NONNEGATIVE,
     "alignment_gain": _NONNEGATIVE,
@@ -230,7 +232,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("scenario", ["matrix", "routing", "simulate"])
     def test_config_seed_seeds_the_race(self, scenario):
-        for peloton in (PelotonParams(), PelotonParams(seed=7)):
+        # no run reads peloton.seed, so validate passes a negative one
+        for peloton in (PelotonParams(), PelotonParams(seed=7), PelotonParams(seed=-1)):
             cfg = ExperimentConfig(scenario=scenario, seed=5, peloton=peloton)
             cfg.validate()
             assert cfg.race().seed == 5
@@ -357,6 +360,9 @@ class TestCli:
         ("dct_losses=-1", "dct_losses=-1 must be >= 0"),
         ("n=0", "n=0 must be positive"),
         ("dt_s=0", "dt=0.0 must be positive"),
+        # the race samples round(duration / dt) instants and needs 2
+        ("duration_s=1", "duration=1.0 must be >= 1.5 * dt to cover 2 timesteps; dt=1.0"),
+        ("dt_s=600", "duration=780.0 must be >= 1.5 * dt to cover 2 timesteps; dt=600.0"),
         ("neighbor_radius_m=0", "neighbor_radius=0.0 must be positive"),
         ("cohesion_gain=-1", "cohesion_gain=-1.0 must be >= 0"),
         ("breakaway_rate=-1", "breakaway_rate=-1.0 must be >= 0"),

@@ -1,10 +1,12 @@
 import io
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csagg.errors import ConfigError, DimensionError, TraceFormatError
@@ -109,6 +111,25 @@ class TestSimulateRace:
             simulate_race(PelotonParams(duration=float("nan")))
         with pytest.raises(ConfigError, match="base_speed_profile"):
             simulate_race(PelotonParams(base_speed_profile=((0.0, float("inf")),)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+    @example(1.5, 1.0)
+    @example(1.4999999999999998, 1.0)
+    @example(0.75, 0.5)
+    @example(1.0, 1.0)
+    @example(1e300, 1e-300)
+    def test_too_short_race_names_duration_and_dt(self, duration, dt):
+        # the race samples int(round(duration / dt)) instants and needs 2;
+        # an overflowing ratio is a long race, not a short one
+        params = PelotonParams(duration=duration, dt=dt)
+        ratio = duration / dt
+        if math.isfinite(ratio) and int(round(ratio)) < 2:
+            message = f"duration={duration} must be >= 1.5 * dt to cover 2 timesteps; dt={dt}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                params.validate()
+        else:
+            params.validate()
 
 
 class TestSimulateMatchesReference:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from csagg.metrics import stress
 from csagg.protocol import (
     DEFAULT_CAP,
     AggregateMessage,
-    SensorState,
     block_layout,
     collect_timestep,
     initial_state,
@@ -122,7 +122,7 @@ class TestSensorUniforms:
 
 def _unit_messages(n, senders):
     """Round-1 messages of the senders: unit rows, each reading its id."""
-    return [AggregateMessage(j, 1, np.eye(n, dtype=np.int64)[j], float(j), payload_bits(n, 32)) for j in senders]
+    return [AggregateMessage(j, 1, np.eye(n, dtype=np.int64)[j], float(j)) for j in senders]
 
 
 class TestSensorBlock:
@@ -200,28 +200,27 @@ class TestStepSensor:
         rows[layout.random((size + 1, n)) >= density] = 0
         aggregates = layout.uniform(-50.0, 50.0, size + 1).tolist()
         rnd = data.draw(st.integers(1, 6), label="round")
-        state = SensorState(own, rnd, rows[0], aggregates[0])
+        state = AggregateMessage(own, rnd, rows[0], aggregates[0])
         inbox = [
-            AggregateMessage(j, rnd, row, value, payload_bits(n, cap_m))
+            AggregateMessage(j, rnd, row, value)
             for j, row, value in zip(senders[:size], rows[1:], aggregates[1:])
         ]
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
         got_state, got = step_sensor(state, inbox, np.random.default_rng(seed), cap_m)
         want_state, want = step_sensor_reference(state, inbox, np.random.default_rng(seed), cap_m)
-        assert got_state.round == want_state.round == got.round == rnd + 1
-        assert np.array_equal(got_state.coeff_row, want_state.coeff_row)
+        # one record is both the sensor's new state and the message it sends
+        assert got_state is got and want_state is want
+        assert got.sender == want.sender == own
+        assert got.round == want.round == rnd + 1
         assert np.array_equal(got.coeff_row, want.coeff_row)
-        assert len(got_state.mix_rows) == len(want_state.mix_rows) == 1
-        assert np.array_equal(got_state.mix_rows[0], want_state.mix_rows[0])
-        for got_value, want_value in [(got_state.aggregate, want_state.aggregate),
-                                      (got.aggregate, want.aggregate)]:
-            assert np.float64(got_value).tobytes() == np.float64(want_value).tobytes()
-        assert got.payload_bits == want.payload_bits
+        assert len(got.mix_rows) == len(want.mix_rows) == 1
+        assert np.array_equal(got.mix_rows[0], want.mix_rows[0])
+        assert np.float64(got.aggregate).tobytes() == np.float64(want.aggregate).tobytes()
 
     def test_round_mismatch_rejected(self):
         state, _ = initial_state(0, 2, 1.0)
-        stale = AggregateMessage(1, 5, np.array([0, 1]), 2.0, payload_bits(2, 32))
+        stale = AggregateMessage(1, 5, np.array([0, 1]), 2.0)
         with pytest.raises(DimensionError):
             step_sensor(state, [stale], np.random.default_rng(0))
 
@@ -276,8 +275,8 @@ class TestStepSensor:
         layout = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
         r_prev = np.eye(n, dtype=np.int64) + layout.integers(-peak, peak + 1, (n, n))
         r_prev = np.clip(r_prev, 1 - cap_m, cap_m - 1)
-        state = SensorState(own, 2, r_prev[own], 0.0)
-        inbox = [AggregateMessage(j, 2, r_prev[j], 0.0, payload_bits(n, cap_m)) for j in senders]
+        state = AggregateMessage(own, 2, r_prev[own], 0.0)
+        inbox = [AggregateMessage(j, 2, r_prev[j], 0.0) for j in senders]
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         new_state, msg = step_sensor(state, inbox, np.random.default_rng(seed), cap_m)
         assert new_state.mix_rows[-1].dtype == np.int64
@@ -734,7 +733,7 @@ class TestCollectTimestep:
         calls, matrices = [], []
 
         def recording(state, inbox, rng, cap_m):
-            calls.append((state.round + 1, state.id))
+            calls.append((state.round + 1, state.sender))
             return step_sensor(state, inbox, rng, cap_m)
 
         def recording_matrix(row, col, sign, shape):
@@ -759,6 +758,28 @@ class TestCollectTimestep:
             assert [i for r, i in calls if r == rnd] == list(range(40))
         assert [i for r, i in calls if r == last] == heard
 
+    def test_a_round_holds_one_record_per_sensor(self, monkeypatch):
+        # rounds >= 3 hand a stepped sensor the record it sent last round as
+        # its state, and that same record is in its neighbours' inboxes; a
+        # step returns the one record it sends as both state and message
+        records, steps = {}, 0
+
+        def recording(state, inbox, block, cap_m):
+            nonlocal steps
+            steps += 1
+            for record in (state, *inbox):
+                records.setdefault((record.round, record.sender), set()).add(id(record))
+            new_state, msg = step_sensor(state, inbox, block, cap_m)
+            assert new_state is msg
+            return new_state, msg
+
+        monkeypatch.setattr(protocol, "step_sensor", recording)
+        # four rounds: 40 steps in round 3 and 14 in round 4
+        readings, pos, sinks, radio = self._scenario(loss_p=0.3, seed=4, range_m=20.0)
+        collect_timestep(readings, pos, sinks, radio, cap_m=8, step_index=2)
+        assert steps == 54
+        assert all(len(ids) == 1 for ids in records.values())
+
     @pytest.mark.parametrize("sinks", [np.zeros((0, 2)), np.array([[1e4, 0.0], [-1e4, 0.0]])])
     def test_no_sink_hears_anyone(self, monkeypatch, sinks):
         calls, matrices = self._recording_steps(monkeypatch)
@@ -781,8 +802,8 @@ class TestCollectTimestep:
 
         def drifting(state, inbox, rng, cap_m):
             new_state, msg = step_sensor(state, inbox, rng, cap_m)
-            if state.id == culprit and msg.round == last:
-                msg = AggregateMessage(msg.sender, msg.round, msg.coeff_row, msg.aggregate + 1e-6, msg.payload_bits)
+            if state.sender == culprit and msg.round == last:
+                msg = replace(msg, aggregate=msg.aggregate + 1e-6)
             return new_state, msg
 
         monkeypatch.setattr(protocol, "step_sensor", drifting)
@@ -832,15 +853,15 @@ class TestWireFormat:
         # payload_bits gives each coefficient ceil(log2(cap_m)) magnitude
         # bits; a combination that would not fit is refused, not sent
         def advance(coefficient):
-            state = SensorState(
-                id=0, round=2, coeff_row=np.array([coefficient], dtype=np.int64),
+            state = AggregateMessage(
+                sender=0, round=2, coeff_row=np.array([coefficient], dtype=np.int64),
                 aggregate=1.0,
             )
             return step_sensor(state, [], np.random.default_rng(0), cap_m=32)
 
         _, msg = advance(31)
         assert abs(int(msg.coeff_row[0])) == 31
-        assert msg.payload_bits == 1 * 5 + 64
+        assert payload_bits(1, 32) == 1 * 5 + 64
         with pytest.raises(ConfigError, match="cap_m"):
             advance(40)
 
@@ -849,9 +870,9 @@ class TestWireFormat:
         # would be sent with aggregate 5.0; a cap above MAX_CAP is refused
         def message(sender):
             row = np.array([2**62 - 1, 0, 0, 0, 0], dtype=np.int64)
-            return AggregateMessage(sender, 2, row, 1.0, 0)
+            return AggregateMessage(sender, 2, row, 1.0)
 
-        state = SensorState(id=0, round=2, coeff_row=message(0).coeff_row, aggregate=1.0)
+        state = message(0)
         inbox = [message(j) for j in range(1, 5)]
         with pytest.raises(ConfigError, match=r"cap_m=4611686018427387904"):
             step_sensor(state, inbox, np.full(5, 0.75), cap_m=2**62)
@@ -859,3 +880,5 @@ class TestWireFormat:
         for cap_m in (1, protocol.MAX_CAP + 1):
             with pytest.raises(ConfigError, match=rf"cap_m={cap_m} must be in \[2, {protocol.MAX_CAP}\]"):
                 payload_bits(1, cap_m)
+            with pytest.raises(ConfigError, match=rf"cap_m={cap_m} must be in \[2, {protocol.MAX_CAP}\]"):
+                initial_state(0, 1, 1.0, cap_m)
